@@ -151,9 +151,9 @@ DynamicModel::UpdateStats DynamicModel::republish_stale(
     publish(sims_rows_, x, compute_sims_row(x));
   }
   if (!hop2_rows_.empty()) {
-    rows::PathFoldScratch scratch;
+    rows::PathFoldMap& fold = rows::thread_fold_map();
     for (const VertexId x : stale.hop2) {
-      publish(hop2_rows_, x, compute_hop2_row(x, scratch));
+      publish(hop2_rows_, x, compute_hop2_row(x, fold));
     }
   }
 
@@ -181,10 +181,10 @@ std::unique_ptr<DynamicModel::RowSlab> DynamicModel::compute_sims_row(
 }
 
 std::unique_ptr<DynamicModel::RowSlab> DynamicModel::compute_hop2_row(
-    VertexId x, rows::PathFoldScratch& scratch) const {
+    VertexId x, rows::PathFoldMap& fold) const {
   // The fold reads this model's (already republished) sims rows.
   return rows::recompute_hop2_row(*this, score_, hop2_skip_zero_, x,
-                                  scratch);
+                                  fold);
 }
 
 void DynamicModel::publish(RowTable& table, VertexId u,

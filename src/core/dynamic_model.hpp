@@ -216,7 +216,7 @@ class DynamicModel {
   [[nodiscard]] std::vector<VertexId> compute_gamma_row(VertexId u) const;
   [[nodiscard]] std::unique_ptr<RowSlab> compute_sims_row(VertexId u) const;
   [[nodiscard]] std::unique_ptr<RowSlab> compute_hop2_row(
-      VertexId u, rows::PathFoldScratch& scratch) const;
+      VertexId u, rows::PathFoldMap& fold) const;
 
   void publish(RowTable& table, VertexId u, std::unique_ptr<RowSlab> slab);
 

@@ -4,37 +4,23 @@
 
 #include "core/dynamic_model.hpp"
 #include "core/snaple_rows.hpp"
-#include "util/score_map.hpp"
 #include "util/thread_pool.hpp"
 #include "util/top_k.hpp"
 
 namespace snaple {
 
-namespace {
-
-/// Reused fold state. One per thread: topk() must be safe for concurrent
-/// callers, and reuse keeps the hot path allocation-free in steady state
-/// exactly like the batch engine's per-worker accumulators. The fold
-/// itself — the machine-grouped bit-exact replay of step 3 — lives in
-/// core/snaple_rows.hpp (rows::fold_vertex_paths), shared with the
-/// incremental-update recompute path.
-rows::PathFoldScratch& local_scratch() {
-  static thread_local rows::PathFoldScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
 std::vector<std::pair<VertexId, float>> rank_candidates(
-    const ScoreMap& candidates, const Aggregator& agg, std::size_t k) {
+    const rows::PathFoldMap& candidates, const Aggregator& agg,
+    std::size_t k) {
   // At most size() entries can come back, so clamp before TopK reserves
   // k slots — a huge caller k (e.g. "inf" from a CLI) must mean "all",
   // not a length_error from the reserve.
   k = std::min(k, candidates.size());
   TopK<VertexId, double> top(k);
-  candidates.for_each([&](VertexId z, float sigma, std::uint32_t n) {
-    top.offer(z, agg.post(sigma, n));
-  });
+  candidates.for_each_candidate(
+      agg, [&](VertexId z, float sigma, std::uint32_t n) {
+        top.offer(z, agg.post(sigma, n));
+      });
   std::vector<std::pair<VertexId, float>> out;
   const auto entries = top.take_sorted();
   out.reserve(entries.size());
@@ -75,16 +61,19 @@ const SnapleConfig& QueryEngine::config() const noexcept {
 std::vector<std::pair<VertexId, float>> QueryEngine::topk(
     VertexId u, std::size_t k) const {
   SNAPLE_CHECK_MSG(u < num_vertices(), "query vertex out of model range");
-  rows::PathFoldScratch& scratch = local_scratch();
+  // The fold — the machine-grouped bit-exact replay of step 3 — lives in
+  // core/snaple_rows.hpp, shared with the sharded tier and the
+  // incremental-update recompute path.
+  rows::PathFoldMap& fold = rows::thread_fold_map();
   if (model_ != nullptr) {
     rows::fold_vertex_paths(*model_, score_, u, rows::PathFold::kRecommend,
-                            /*zero_skip=*/false, scratch);
+                            /*zero_skip=*/false, fold);
   } else {
     rows::fold_vertex_paths(*dynamic_, score_, u,
                             rows::PathFold::kRecommend,
-                            /*zero_skip=*/false, scratch);
+                            /*zero_skip=*/false, fold);
   }
-  return rank_candidates(scratch.merged, score_.aggregator,
+  return rank_candidates(fold, score_.aggregator,
                          k == 0 ? config().k : k);
 }
 

@@ -14,7 +14,7 @@
 // vertex's predictions AND scores against `run_snaple`.
 //
 // Thread safety: topk() is safe for concurrent callers — scratch state
-// (the reused ScoreMaps) is per-thread, the model is immutable. Over a
+// (the reused fold map) is per-thread, the model is immutable. Over a
 // DynamicModel the engine reads the versioned rows (lock-free acquire
 // loads), so queries keep serving, untorn, while a writer applies
 // incremental updates — each query sees every row either pre- or
@@ -34,17 +34,21 @@
 namespace snaple {
 
 class DynamicModel;
-class ScoreMap;
 class ThreadPool;
 
-/// Ranks a folded candidate ScoreMap into the best-first top-k
+namespace rows {
+class PathFoldMap;
+}
+
+/// Ranks a folded candidate map into the best-first top-k
 /// (id, ⊕post score) list — the final stage of every serving topk.
 /// Shared by QueryEngine and the sharded serving tier
 /// (serve/model_shard.hpp), so both rank with the identical float path.
 /// k is clamped to the candidate count; pass the model's configured k
 /// for the default serving answer.
 [[nodiscard]] std::vector<std::pair<VertexId, float>> rank_candidates(
-    const ScoreMap& candidates, const Aggregator& agg, std::size_t k);
+    const rows::PathFoldMap& candidates, const Aggregator& agg,
+    std::size_t k);
 
 class QueryEngine {
  public:

@@ -242,18 +242,19 @@ template <typename GammaFn>
 template <typename Model>
 [[nodiscard]] std::unique_ptr<RowSlab> recompute_hop2_row(
     const Model& model, const ScoreConfig& score, bool zero_skip,
-    VertexId x, PathFoldScratch& scratch) {
-  fold_vertex_paths(model, score, x, PathFold::kHop2, zero_skip, scratch);
+    VertexId x, PathFoldMap& fold) {
+  fold_vertex_paths(model, score, x, PathFold::kHop2, zero_skip, fold);
   const SnapleConfig& cfg = model.config();
   const Aggregator agg = score.aggregator;
   std::vector<std::pair<VertexId, float>> collected;
-  scratch.merged.for_each([&](VertexId z, float sigma, std::uint32_t n) {
-    const auto s = static_cast<float>(agg.post(sigma, n));
-    if (cfg.hop2_min_score > 0 && s < cfg.hop2_min_score) {
-      return;  // pruned: this 2-hop candidate scores too low
-    }
-    collected.emplace_back(z, s);
-  });
+  fold.for_each_candidate(
+      agg, [&](VertexId z, float sigma, std::uint32_t n) {
+        const auto s = static_cast<float>(agg.post(sigma, n));
+        if (cfg.hop2_min_score > 0 && s < cfg.hop2_min_score) {
+          return;  // pruned: this 2-hop candidate scores too low
+        }
+        collected.emplace_back(z, s);
+      });
   select_k_local(collected, cfg, x);
 
   auto slab = std::make_unique<RowSlab>();

@@ -12,13 +12,16 @@
 //   * edge_uniform / keep_sampled_edge — step 1's Bernoulli truncation;
 //   * select_k_local                   — step 2/2b's klocal selection;
 //   * find_sim                         — the retained-path lookup;
-//   * fold_path_list / fold_hop2_edge  — the ⊗/⊕pre candidate folds of
-//                                        steps 2b and 3, including the
-//                                        2b zero-path early exit;
+//   * fold_path_list / fold_hop2_edge  — the engine's per-edge ⊗/⊕pre
+//                                        candidate folds of steps 2b and
+//                                        3 into a ScoreMap;
+//   * hop2_edge_is_zero                — the 2b whole-edge zero exit,
+//                                        used by both sides;
 //   * fold_vertex_paths                — the machine-grouped replay of a
-//                                        whole vertex's fold, templated
-//                                        over any model-row source
-//                                        (PredictorModel, DynamicModel).
+//                                        whole vertex's fold into one
+//                                        PathFoldMap, templated over any
+//                                        model-row source (PredictorModel,
+//                                        DynamicModel).
 //
 // Why machine grouping everywhere: the engine folds a vertex's edges
 // grouped by the machine owning each edge (CSR order within a machine,
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/path_fold_map.hpp"
 #include "core/scoring.hpp"
 #include "gas/partition.hpp"
 #include "graph/types.hpp"
@@ -184,27 +188,32 @@ std::size_t fold_path_list(VertexId u, std::span<const VertexId> gamma_u,
   return bytes;
 }
 
+/// The 2b whole-edge early exit: when the zero-skip is active and ⊗
+/// applied to v's best retained similarity is already zero, no path
+/// through v can score above zero (⊗ is monotone in both arguments and
+/// similarities are non-negative), so the edge can be skipped before any
+/// candidate lookup.
+template <typename SimList>
+[[nodiscard]] bool hop2_edge_is_zero(float suv, const SimList& sims_v,
+                                     const Combinator& comb) {
+  // Only scan for the bound when a zero path is possible at all —
+  // e.g. linear(α) with suv > 0 yields α·suv > 0 for every path.
+  if (comb(suv, 0.0) != 0.0) return false;
+  float best = 0.0f;
+  for (std::size_t j = 0; j < sims_v.size(); ++j) {
+    best = std::max(best, sims_v.score(j));
+  }
+  return comb(suv, best) == 0.0;
+}
+
 /// The 2b per-edge gather body: the whole-edge early exit plus the
-/// per-path fold. When the zero-skip is active and ⊗ applied to v's best
-/// retained similarity is already zero, no path through v can score
-/// above zero (⊗ is monotone in both arguments and similarities are
-/// non-negative), so the edge is skipped before any candidate lookup.
+/// per-path fold.
 template <typename SimList, typename PreOp>
 std::size_t fold_hop2_edge(VertexId u, std::span<const VertexId> gamma_u,
                            float suv, const SimList& sims_v,
                            const Combinator& comb, bool zero_skip,
                            ScoreMap& acc, PreOp&& pre) {
-  if (zero_skip) {
-    // Only scan for the bound when a zero path is possible at all —
-    // e.g. linear(α) with suv > 0 yields α·suv > 0 for every path.
-    if (comb(suv, 0.0) == 0.0) {
-      float best = 0.0f;
-      for (std::size_t j = 0; j < sims_v.size(); ++j) {
-        best = std::max(best, sims_v.score(j));
-      }
-      if (comb(suv, best) == 0.0) return 0;  // per-edge early exit
-    }
-  }
+  if (zero_skip && hop2_edge_is_zero(suv, sims_v, comb)) return 0;
   return fold_path_list(u, gamma_u, suv, sims_v, comb, zero_skip, acc,
                         std::forward<PreOp>(pre));
 }
@@ -213,26 +222,31 @@ std::size_t fold_hop2_edge(VertexId u, std::span<const VertexId> gamma_u,
 // Machine-grouped single-vertex fold replay over model rows.
 // ---------------------------------------------------------------------
 
-/// Reused fold state; callers keep one per thread so the hot path is
-/// allocation-free in steady state, like the engine's per-worker
-/// accumulators.
-struct PathFoldScratch {
-  ScoreMap partial;
-  ScoreMap merged;
-};
-
 /// Which fold a replay performs: step 3's recommendation fold (sims plus,
 /// for K=3, the hop2 extension) or step 2b's 2-hop pre-fold (sims only,
 /// honoring the zero-path early exit).
 enum class PathFold { kRecommend, kHop2 };
 
-/// Replays one vertex's fold into scratch.merged, reproducing the batch
-/// engine's canonical order bit-exactly: u's retained edges grouped by
-/// their machine tag, folded in ascending-id order within a group (CSR
-/// order), groups merged in ascending machine order with the same ⊕pre
-/// the engine's cross-machine merge uses. The first contributing group
-/// folds straight into `merged` — the engine swaps the first partial in
-/// wholesale, so this is the same float chain.
+/// Folds one downstream list of the path u → v → z into the replay map
+/// under machine group `group` — fold_path_list's body, with the
+/// Γ̂(u) ∪ {u} test answered by the map's own probe.
+template <typename SimList>
+void fold_path_group(float suv, const SimList& list, const Combinator& comb,
+                     const Aggregator& agg, bool skip_zero,
+                     std::uint8_t group, PathFoldMap& acc) {
+  for (std::size_t j = 0; j < list.size(); ++j) {
+    const double path_sim = comb(suv, list.score(j));
+    if (skip_zero && path_sim == 0.0) continue;  // cannot move a Sum
+    acc.add(list.id(j), static_cast<float>(path_sim), group, agg);
+  }
+}
+
+/// Replays one vertex's fold into `acc`, reproducing the batch engine's
+/// canonical order bit-exactly: u's retained edges grouped by their
+/// machine tag, folded in ascending-id order within a group (CSR order),
+/// groups merged in ascending machine order with the same ⊕pre the
+/// engine's cross-machine merge uses (path_fold_map.hpp spells out the
+/// per-candidate chain).
 ///
 /// `Model` needs gamma_hat(u) -> span<const VertexId>, sims(u) ->
 /// {ids, scores, machines} spans, hop2(u) -> {ids, scores} spans, and
@@ -240,17 +254,18 @@ enum class PathFold { kRecommend, kHop2 };
 template <typename Model>
 void fold_vertex_paths(const Model& model, const ScoreConfig& score,
                        VertexId u, PathFold kind, bool zero_skip,
-                       PathFoldScratch& scratch) {
+                       PathFoldMap& acc) {
   const Combinator comb = score.combinator;
   const Aggregator agg = score.aggregator;
-  const auto pre = [&agg](float a, float b) {
-    return static_cast<float>(agg.pre(a, b));
-  };
-  const auto gamma = model.gamma_hat(u);
   const auto su = model.sims(u);
   const bool extend_hop2 =
       kind == PathFold::kRecommend && model.config().k_hops == 3;
-  scratch.merged.clear();
+  std::size_t paths = 0;
+  for (const VertexId v : su.ids) {
+    paths += model.sims(v).ids.size();
+    if (extend_hop2) paths += model.hop2(v).ids.size();
+  }
+  acc.reset(model.gamma_hat(u), u, paths);
 
   std::uint64_t machines = 0;
   for (const gas::MachineId m : su.machines) {
@@ -260,34 +275,25 @@ void fold_vertex_paths(const Model& model, const ScoreConfig& score,
     const auto mach =
         static_cast<gas::MachineId>(__builtin_ctzll(machines));
     machines &= machines - 1;
-    ScoreMap& acc =
-        scratch.merged.empty() ? scratch.merged : scratch.partial;
     for (std::size_t i = 0; i < su.ids.size(); ++i) {
       if (su.machines[i] != mach) continue;
       const float suv = su.scores[i];
       const auto sv = model.sims(su.ids[i]);
       const SpanSims sims_v{sv.ids, sv.scores};
       if (kind == PathFold::kHop2) {
-        fold_hop2_edge(u, gamma, suv, sims_v, comb, zero_skip, acc, pre);
+        if (zero_skip && hop2_edge_is_zero(suv, sims_v, comb)) continue;
+        fold_path_group(suv, sims_v, comb, agg, zero_skip, mach, acc);
       } else {
-        fold_path_list(u, gamma, suv, sims_v, comb, /*skip_zero=*/false,
-                       acc, pre);
+        fold_path_group(suv, sims_v, comb, agg, /*skip_zero=*/false, mach,
+                        acc);
         if (extend_hop2) {
           // 3-hop paths u → v → (v's 2-hop candidate z): extend v's
           // folded 2-hop score by the first-hop similarity.
           const auto hv = model.hop2(su.ids[i]);
-          fold_path_list(u, gamma, suv, SpanSims{hv.ids, hv.scores}, comb,
-                         /*skip_zero=*/false, acc, pre);
+          fold_path_group(suv, SpanSims{hv.ids, hv.scores}, comb, agg,
+                          /*skip_zero=*/false, mach, acc);
         }
       }
-    }
-    if (&acc == &scratch.partial && !scratch.partial.empty()) {
-      // Cross-group merge — the engine's merge_scores on whole partials.
-      scratch.partial.for_each(
-          [&](VertexId z, float sigma, std::uint32_t paths) {
-            scratch.merged.accumulate(z, sigma, paths, pre);
-          });
-      scratch.partial.clear();
     }
   }
 }

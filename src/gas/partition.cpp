@@ -1,10 +1,12 @@
 #include "gas/partition.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "graph/compressed_csr.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snaple::gas {
 
@@ -87,70 +89,112 @@ MachineId edge_local_machine(VertexId u, VertexId v, std::size_t machines,
   return static_cast<MachineId>(sm.next() % machines);
 }
 
-namespace {
-
-/// Shared epilogue: derive replica sets, loads and masters from a
-/// complete per-edge assignment. Graph is CsrGraph or CompressedCsrGraph
-/// (identical rows and edge indices, so the result cannot differ).
+/// The shared epilogue: derives replica sets, owner masks, loads and
+/// masters from the complete per-edge assignment, in two parallel passes
+/// over vertex blocks. Graph is CsrGraph or CompressedCsrGraph (identical
+/// rows and edge indices, so the result cannot differ).
+///
+///  1. Scatter: every out-edge (u, v) on machine m bumps in_tally[v][m]
+///     (relaxed atomics — many u share a v) and its block's machine load.
+///  2. Gather, per vertex u: out-tallies from u's own slice of the
+///     assignment, in-tallies from pass 1. The owner masks are the
+///     machines with a nonzero tally on each side, the replica set is
+///     their union, and the master is the replica holding the most of u's
+///     edges, ties to the lowest machine id. Isolated vertices get hash
+///     placement.
+///
+/// Every output is a pure function of the assignment, so the result is
+/// identical for any pool size. The transient in_tally holds `machines`
+/// counters per vertex.
 template <typename Graph>
-void finalize_from_edges(const Graph& g, std::uint64_t seed,
-                         std::vector<MachineId>& edge_machine,
-                         std::vector<ReplicaSet>& replicas,
-                         std::vector<std::uint64_t>& out_owner_mask,
-                         std::vector<std::uint64_t>& in_owner_mask,
-                         std::vector<EdgeIndex>& edge_load,
-                         std::vector<MachineId>& master,
-                         std::size_t machines) {
-  EdgeIndex e = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (VertexId v : g.out_neighbors(u)) {
-      const MachineId m = edge_machine[e];
-      SNAPLE_CHECK_MSG(m < machines, "edge assigned to unknown machine");
-      ++edge_load[m];
-      replicas[u].add(m);
-      replicas[v].add(m);
-      out_owner_mask[u] |= std::uint64_t{1} << m;
-      in_owner_mask[v] |= std::uint64_t{1} << m;
-      ++e;
+void Partitioning::finalize(const Graph& g, std::uint64_t seed,
+                            ThreadPool* pool_or_null) {
+  ThreadPool& pool = pool_or_null != nullptr ? *pool_or_null : default_pool();
+  const VertexId n = g.num_vertices();
+  const std::size_t machines = machines_;
+  constexpr std::size_t kMinBlock = 1024;
+  master_.assign(n, 0);
+  replicas_.assign(n, ReplicaSet{});
+  out_owner_mask_.assign(n, 0);
+  in_owner_mask_.assign(n, 0);
+  edge_load_.assign(machines, 0);
+
+  std::vector<std::uint32_t> in_tally(std::size_t{n} * machines, 0);
+  std::vector<EdgeIndex> slot_load(pool.slot_count() * machines, 0);
+  pool.parallel_blocks(
+      0, n,
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        EdgeIndex* load = slot_load.data() + worker * machines;
+        for (std::size_t u = begin; u < end; ++u) {
+          EdgeIndex e = g.out_offset(static_cast<VertexId>(u));
+          for (const VertexId v : g.out_neighbors(static_cast<VertexId>(u))) {
+            const MachineId m = edge_machine_[e++];
+            SNAPLE_DCHECK(m < machines);
+            ++load[m];
+            std::atomic_ref<std::uint32_t>(
+                in_tally[std::size_t{v} * machines + m])
+                .fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      },
+      kMinBlock);
+  for (std::size_t w = 0; w < pool.slot_count(); ++w) {
+    for (std::size_t m = 0; m < machines; ++m) {
+      edge_load_[m] += slot_load[w * machines + m];
     }
   }
 
-  // Masters: the replica machine holding the most of u's edges,
-  // tie-broken by lowest machine id. Isolated vertices get hash placement.
-  std::vector<EdgeIndex> tally(machines);
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    if (replicas[u].empty()) {
-      const auto m =
-          static_cast<MachineId>(SplitMix64(seed ^ u).next() % machines);
-      replicas[u].add(m);
-      master[u] = m;
-      continue;
-    }
-    std::fill(tally.begin(), tally.end(), 0);
-    const EdgeIndex begin = g.out_offset(u);
-    const EdgeIndex end = begin + g.out_degree(u);
-    for (EdgeIndex i = begin; i < end; ++i) ++tally[edge_machine[i]];
-    for (VertexId v : g.in_neighbors(u)) {
-      ++tally[edge_machine[g.edge_index(v, u)]];
-    }
-    MachineId best = 255;
-    EdgeIndex best_count = 0;
-    replicas[u].for_each([&](MachineId m) {
-      if (best == 255 || tally[m] > best_count) {
-        best_count = tally[m];
-        best = m;
-      }
-    });
-    master[u] = best;
-  }
+  pool.parallel_blocks(
+      0, n,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        EdgeIndex tally[64];
+        for (std::size_t u = begin; u < end; ++u) {
+          std::fill(tally, tally + machines, 0);
+          std::uint64_t out_mask = 0;
+          const EdgeIndex first = g.out_offset(static_cast<VertexId>(u));
+          const EdgeIndex last =
+              first + g.out_degree(static_cast<VertexId>(u));
+          for (EdgeIndex e = first; e < last; ++e) {
+            ++tally[edge_machine_[e]];
+            out_mask |= std::uint64_t{1} << edge_machine_[e];
+          }
+          std::uint64_t in_mask = 0;
+          const std::uint32_t* in = in_tally.data() + u * machines;
+          for (std::size_t m = 0; m < machines; ++m) {
+            if (in[m] == 0) continue;
+            in_mask |= std::uint64_t{1} << m;
+            tally[m] += in[m];
+          }
+          out_owner_mask_[u] = out_mask;
+          in_owner_mask_[u] = in_mask;
+          const std::uint64_t hosts = out_mask | in_mask;
+          if (hosts == 0) {
+            const auto m = static_cast<MachineId>(
+                SplitMix64(seed ^ u).next() % machines);
+            replicas_[u].add(m);
+            master_[u] = m;
+            continue;
+          }
+          MachineId best = 0;
+          EdgeIndex best_count = 0;
+          for (std::uint64_t rest = hosts; rest != 0; rest &= rest - 1) {
+            const auto m = static_cast<MachineId>(__builtin_ctzll(rest));
+            replicas_[u].add(m);
+            if (tally[m] > best_count) {
+              best_count = tally[m];
+              best = m;
+            }
+          }
+          master_[u] = best;
+        }
+      },
+      kMinBlock);
 }
-
-}  // namespace
 
 template <typename Graph>
 Partitioning Partitioning::from_edges_impl(
     const Graph& g, std::size_t machines,
-    std::vector<MachineId> edge_machine) {
+    std::vector<MachineId> edge_machine, ThreadPool* pool) {
   SNAPLE_CHECK_MSG(machines >= 1 && machines <= 64,
                    "vertex-cut replica sets are 64-bit masks");
   SNAPLE_CHECK_MSG(edge_machine.size() == g.num_edges(),
@@ -168,30 +212,21 @@ Partitioning Partitioning::from_edges_impl(
   Partitioning p;
   p.machines_ = machines;
   p.edge_machine_ = std::move(edge_machine);
-  p.master_.assign(g.num_vertices(), 0);
-  p.replicas_.assign(g.num_vertices(), ReplicaSet{});
-  p.out_owner_mask_.assign(g.num_vertices(), 0);
-  p.in_owner_mask_.assign(g.num_vertices(), 0);
-  p.edge_load_.assign(machines, 0);
-  finalize_from_edges(g, /*seed=*/7, p.edge_machine_, p.replicas_,
-                      p.out_owner_mask_, p.in_owner_mask_, p.edge_load_,
-                      p.master_, machines);
+  p.finalize(g, /*seed=*/7, pool);
   return p;
 }
 
 template <typename Graph>
 Partitioning Partitioning::create_impl(const Graph& g, std::size_t machines,
                                        PartitionStrategy strategy,
-                                       std::uint64_t seed) {
+                                       std::uint64_t seed,
+                                       ThreadPool* pool) {
   SNAPLE_CHECK_MSG(machines >= 1 && machines <= 64,
                    "vertex-cut replica sets are 64-bit masks");
   Partitioning p;
   p.machines_ = machines;
   p.edge_machine_.resize(g.num_edges());
-  p.master_.assign(g.num_vertices(), 0);
   p.replicas_.assign(g.num_vertices(), ReplicaSet{});
-  p.out_owner_mask_.assign(g.num_vertices(), 0);
-  p.in_owner_mask_.assign(g.num_vertices(), 0);
   p.edge_load_.assign(machines, 0);
 
   Rng rng(seed);
@@ -235,39 +270,35 @@ Partitioning Partitioning::create_impl(const Graph& g, std::size_t machines,
   }
 
   // The incremental replica/load bookkeeping above only served the
-  // greedy placement decisions; rebuild them with the shared epilogue,
-  // which also derives the masters.
-  p.replicas_.assign(g.num_vertices(), ReplicaSet{});
-  p.edge_load_.assign(machines, 0);
-  finalize_from_edges(g, seed, p.edge_machine_, p.replicas_,
-                      p.out_owner_mask_, p.in_owner_mask_, p.edge_load_,
-                      p.master_, machines);
+  // greedy placement decisions; the shared epilogue rebuilds them and
+  // derives the masters.
+  p.finalize(g, seed, pool);
   return p;
 }
 
 Partitioning Partitioning::from_edge_assignment(
     const CsrGraph& g, std::size_t machines,
-    std::vector<MachineId> edge_machine) {
-  return from_edges_impl(g, machines, std::move(edge_machine));
+    std::vector<MachineId> edge_machine, ThreadPool* pool) {
+  return from_edges_impl(g, machines, std::move(edge_machine), pool);
 }
 
 Partitioning Partitioning::from_edge_assignment(
     const CompressedCsrGraph& g, std::size_t machines,
-    std::vector<MachineId> edge_machine) {
-  return from_edges_impl(g, machines, std::move(edge_machine));
+    std::vector<MachineId> edge_machine, ThreadPool* pool) {
+  return from_edges_impl(g, machines, std::move(edge_machine), pool);
 }
 
 Partitioning Partitioning::create(const CsrGraph& g, std::size_t machines,
                                   PartitionStrategy strategy,
-                                  std::uint64_t seed) {
-  return create_impl(g, machines, strategy, seed);
+                                  std::uint64_t seed, ThreadPool* pool) {
+  return create_impl(g, machines, strategy, seed, pool);
 }
 
 Partitioning Partitioning::create(const CompressedCsrGraph& g,
                                   std::size_t machines,
                                   PartitionStrategy strategy,
-                                  std::uint64_t seed) {
-  return create_impl(g, machines, strategy, seed);
+                                  std::uint64_t seed, ThreadPool* pool) {
+  return create_impl(g, machines, strategy, seed, pool);
 }
 
 double Partitioning::replication_factor() const {

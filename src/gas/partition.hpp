@@ -23,6 +23,7 @@
 
 namespace snaple {
 class CompressedCsrGraph;
+class ThreadPool;
 }
 
 namespace snaple::gas {
@@ -121,11 +122,15 @@ enum class PartitionStrategy {
 
 class Partitioning {
  public:
-  /// Partitions g's edges over `machines` (1..64) machines.
+  /// Partitions g's edges over `machines` (1..64) machines. Edge
+  /// placement is a serial pass; the epilogue that derives replicas,
+  /// owner masks, loads and masters runs on `pool` (the default pool
+  /// when null) and gives the same result for any pool size.
   [[nodiscard]] static Partitioning create(const CsrGraph& g,
                                            std::size_t machines,
                                            PartitionStrategy strategy,
-                                           std::uint64_t seed = 7);
+                                           std::uint64_t seed = 7,
+                                           ThreadPool* pool = nullptr);
 
   /// As above over a compressed graph — rows decode per-thread, edges
   /// keep their CSR indices, so the resulting partitioning is identical
@@ -133,19 +138,21 @@ class Partitioning {
   [[nodiscard]] static Partitioning create(const CompressedCsrGraph& g,
                                            std::size_t machines,
                                            PartitionStrategy strategy,
-                                           std::uint64_t seed = 7);
+                                           std::uint64_t seed = 7,
+                                           ThreadPool* pool = nullptr);
 
   /// Builds a partitioning from an explicit per-edge machine assignment
   /// (CSR edge order). The seam for custom/external partitioners, and for
   /// tests that need exact placements to hand-verify the engine's
-  /// network/memory accounting.
+  /// network/memory accounting. Isolated vertices are placed as create()
+  /// places them with seed 7.
   [[nodiscard]] static Partitioning from_edge_assignment(
       const CsrGraph& g, std::size_t machines,
-      std::vector<MachineId> edge_machine);
+      std::vector<MachineId> edge_machine, ThreadPool* pool = nullptr);
 
   [[nodiscard]] static Partitioning from_edge_assignment(
       const CompressedCsrGraph& g, std::size_t machines,
-      std::vector<MachineId> edge_machine);
+      std::vector<MachineId> edge_machine, ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t num_machines() const noexcept {
     return machines_;
@@ -196,11 +203,15 @@ class Partitioning {
   [[nodiscard]] static Partitioning create_impl(const Graph& g,
                                                 std::size_t machines,
                                                 PartitionStrategy strategy,
-                                                std::uint64_t seed);
+                                                std::uint64_t seed,
+                                                ThreadPool* pool);
   template <typename Graph>
   [[nodiscard]] static Partitioning from_edges_impl(
       const Graph& g, std::size_t machines,
-      std::vector<MachineId> edge_machine);
+      std::vector<MachineId> edge_machine, ThreadPool* pool);
+  /// Derives everything but edge_machine_ from it (partition.cpp).
+  template <typename Graph>
+  void finalize(const Graph& g, std::uint64_t seed, ThreadPool* pool);
 
   std::size_t machines_ = 1;
   std::vector<MachineId> edge_machine_;  // size E

@@ -10,11 +10,6 @@ namespace snaple::serve {
 
 namespace {
 
-rows::PathFoldScratch& local_scratch() {
-  static thread_local rows::PathFoldScratch scratch;
-  return scratch;
-}
-
 std::shared_ptr<const CsrGraph> require_graph(
     std::shared_ptr<const CsrGraph> graph) {
   SNAPLE_CHECK_MSG(graph != nullptr,
@@ -281,7 +276,7 @@ LiveShard::ApplyStats LiveShard::republish_stale(
   }
   if (!hop2_rows_.empty()) {
     const FoldSource source{this, &scratch};
-    rows::PathFoldScratch& fold = local_scratch();
+    rows::PathFoldMap& fold = rows::thread_fold_map();
     for (const VertexId x : stale.hop2) {
       if (!owns(x)) continue;
       publish(hop2_rows_, x,
@@ -373,10 +368,10 @@ std::vector<std::pair<VertexId, float>> LiveShard::topk(
   SNAPLE_CHECK_MSG(owns(u), "query vertex " + std::to_string(u) +
                                 " routed to the wrong shard");
   const ServeSource source{this, overlay, u, root};
-  rows::PathFoldScratch& scratch = local_scratch();
+  rows::PathFoldMap& fold = rows::thread_fold_map();
   rows::fold_vertex_paths(source, score_, u, rows::PathFold::kRecommend,
-                          /*zero_skip=*/false, scratch);
-  return rank_candidates(scratch.merged, score_.aggregator,
+                          /*zero_skip=*/false, fold);
+  return rank_candidates(fold, score_.aggregator,
                          k == 0 ? config().k : k);
 }
 

@@ -6,7 +6,6 @@
 #include "core/query_engine.hpp"
 #include "core/snaple_rows.hpp"
 #include "util/check.hpp"
-#include "util/score_map.hpp"
 
 namespace snaple::serve {
 
@@ -63,11 +62,6 @@ struct ShardRowSource {
     return *overlay->rows[i];
   }
 };
-
-rows::PathFoldScratch& local_scratch() {
-  static thread_local rows::PathFoldScratch scratch;
-  return scratch;
-}
 
 }  // namespace
 
@@ -187,10 +181,10 @@ std::vector<std::pair<VertexId, float>> ModelShard::topk(
   SNAPLE_CHECK_MSG(owns(u), "query vertex " + std::to_string(u) +
                                 " routed to the wrong shard");
   const ShardRowSource source{this, overlay};
-  rows::PathFoldScratch& scratch = local_scratch();
+  rows::PathFoldMap& fold = rows::thread_fold_map();
   rows::fold_vertex_paths(source, score_, u, rows::PathFold::kRecommend,
-                          /*zero_skip=*/false, scratch);
-  return rank_candidates(scratch.merged, score_.aggregator,
+                          /*zero_skip=*/false, fold);
+  return rank_candidates(fold, score_.aggregator,
                          k == 0 ? config_.k : k);
 }
 

@@ -163,10 +163,28 @@ void ShardServer::serve_loop(ByteChannel& ch) {
         break;
       }
     }
+  } catch (const WireError& e) {
+    fail_connection(ch, e.what());  // undecodable request
   } catch (const TransportError&) {
     // Link closed (router/cluster shutdown, or peer death): clean exit.
+  } catch (const std::exception& e) {
+    // Anything else a request raised outside its handler's own error
+    // response (e.g. bad_alloc): it costs this connection, never the
+    // shard process.
+    fail_connection(ch, e.what());
   }
   ch.close();
+}
+
+void ShardServer::fail_connection(ByteChannel& ch, const std::string& why) {
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<std::uint8_t> buf;
+  put_error(buf, why);
+  try {
+    send_buffer(ch, buf);
+  } catch (const TransportError&) {
+    // The link is gone too; closing it is all that is left.
+  }
 }
 
 void ShardServer::handle_topk(ByteChannel& ch) {
@@ -296,12 +314,10 @@ void ShardServer::handle_remove(ByteChannel& ch) {
 
 void ShardServer::handle_edge_batch(ByteChannel& ch, bool remove) {
   const auto count = get<std::uint32_t>(ch);
-  std::vector<Edge> batch(count);
-  if (count != 0) {
-    // Edge is {u32 src, u32 dst} — the wire layout, read in place.
-    static_assert(sizeof(Edge) == 2 * sizeof(VertexId));
-    ch.recv(batch.data(), count * sizeof(Edge));
-  }
+  // Edge is {u32 src, u32 dst} — the wire layout, read in place.
+  static_assert(sizeof(Edge) == 2 * sizeof(VertexId));
+  std::vector<Edge> batch;
+  get_array(ch, batch, count);
 
   std::vector<std::uint8_t> buf;
   try {
@@ -608,10 +624,8 @@ void QueryRouter::drain_loop(Connection& conn) {
       if (status != kStatusOk) {
         // Error responses fail ONE request; the stream stays in sync
         // and the connection keeps serving.
-        const auto len = get<std::uint32_t>(ch);
-        std::string message(len, '\0');
-        if (len != 0) ch.recv(message.data(), len);
-        fail(pending, std::make_exception_ptr(CheckError(message)));
+        fail(pending,
+             std::make_exception_ptr(CheckError(get_message(ch))));
         continue;
       }
       std::vector<Scored> answers;
@@ -693,6 +707,8 @@ std::vector<QueryRouter::Scored> QueryRouter::topk_batch(
     SNAPLE_CHECK_MSG(u < num_vertices(),
                      "query vertex out of model range");
   }
+  SNAPLE_CHECK_MSG(users.size() <= kMaxArrayBytes / sizeof(VertexId),
+                   "query batch exceeds the wire array cap");
   std::vector<Scored> out(users.size());
   if (users.empty()) return out;
 

@@ -49,6 +49,13 @@
 //              | u64 hop2_rows   (this shard's owned republish counts)
 //     barrier ok: u64 version
 //
+// Bounded decode: every count field (and error-message length) is
+// checked against wire::kMaxArrayBytes (64 MiB) before anything is
+// allocated. An oversized count throws wire::WireError; a shard answers
+// it with an error response and closes that one connection, and any
+// other exception escaping a request does the same — no bytes from a
+// socket can abort the shard process.
+//
 // Pipelining: the router no longer runs lockstep request/response round
 // trips. Each pooled connection pairs a submission side (requests are
 // enqueued and written under a send mutex — wire order IS queue order)
@@ -203,6 +210,9 @@ class ShardServer {
   };
 
   void serve_loop(ByteChannel& ch);
+  /// Sends an error response (best effort) before serve_loop closes a
+  /// connection whose request could not be served.
+  void fail_connection(ByteChannel& ch, const std::string& why);
   void handle_topk(ByteChannel& ch);
   void handle_topk_batch(ByteChannel& ch);
   void handle_fetch(ByteChannel& ch);

@@ -45,9 +45,7 @@ std::string UpdateRouter::exchange(const std::vector<std::uint8_t>& req,
           payload[s * per_link + i] = get<std::uint64_t>(ch);
         }
       } else {
-        const auto len = get<std::uint32_t>(ch);
-        std::string message(len, '\0');
-        if (len != 0) ch.recv(message.data(), len);
+        std::string message = get_message(ch);
         if (error.empty()) error = std::move(message);
       }
     }
@@ -71,6 +69,8 @@ std::string UpdateRouter::exchange(const std::vector<std::uint8_t>& req,
 
 UpdateRouter::ApplyResult UpdateRouter::exchange_edges(
     std::uint8_t op, std::span<const Edge> batch) {
+  SNAPLE_CHECK_MSG(batch.size() <= kMaxArrayBytes / sizeof(Edge),
+                   "edge batch exceeds the wire array cap — split it");
   std::vector<std::uint8_t> req;
   req.reserve(5 + batch.size() * 8);
   put<std::uint8_t>(req, op);

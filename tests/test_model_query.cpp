@@ -18,6 +18,7 @@
 #include "core/model.hpp"
 #include "core/predictor.hpp"
 #include "core/query_engine.hpp"
+#include "core/row_recompute.hpp"
 #include "core/snaple_program.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/datasets.hpp"
@@ -94,6 +95,53 @@ TEST(QueryEquivalence, MultiMachineFlatFoldReplayed) {
   ASSERT_EQ(all.size(), batch.scored.size());
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     ASSERT_EQ(all[u], batch.scored[u]) << "u=" << u;
+  }
+}
+
+TEST(QueryEquivalence, EveryScoreKindShardedOnEightMachines) {
+  // Every aggregator (Sum, Mean, Geom) under every combinator, K=2 and
+  // K=3 (with and without the 2b pruning threshold), on 8 machines so
+  // vertices fold several machine groups. Geom's ⊕pre = × and Mean's use
+  // of the path count n are where a cross-group merge-order slip would
+  // show. The step-2b replay (rows::recompute_hop2_row, the incremental
+  // update path) is pinned against the fitted hop2 rows the same way.
+  const CsrGraph g = gen::make_dataset("gowalla", 0.02, 13);
+  struct Hops {
+    std::size_t k_hops;
+    double hop2_min_score;
+  };
+  for (const ScoreKind kind : all_score_kinds()) {
+    for (const Hops hops : {Hops{2, 0.0}, Hops{3, 0.0}, Hops{3, 0.05}}) {
+      SnapleConfig cfg;
+      cfg.score = kind;
+      cfg.k_local = 10;
+      cfg.k_hops = hops.k_hops;
+      cfg.hop2_min_score = hops.hop2_min_score;
+      cfg.seed = 13;
+      const auto [batch, model] =
+          batch_and_model(g, cfg, 8, gas::ExecutionMode::kSharded);
+      const QueryEngine server(model);
+      const auto all = server.topk_all();
+      ASSERT_EQ(all.size(), batch.scored.size());
+      for (VertexId u = 0; u < g.num_vertices(); ++u) {
+        ASSERT_EQ(all[u], batch.scored[u])
+            << score_name(kind) << " K=" << hops.k_hops
+            << " hop2min=" << hops.hop2_min_score << " u=" << u;
+      }
+      if (hops.k_hops != 3) continue;
+      const ScoreConfig score = cfg.resolve_score();
+      const bool zero_skip = rows::hop2_zero_skip(cfg, score);
+      rows::PathFoldMap fold;
+      for (VertexId u = 0; u < g.num_vertices(); ++u) {
+        const auto row =
+            rows::recompute_hop2_row(*model, score, zero_skip, u, fold);
+        const auto want = model->hop2(u);
+        ASSERT_TRUE(std::ranges::equal(row->ids, want.ids) &&
+                    std::ranges::equal(row->scores, want.scores))
+            << score_name(kind) << " hop2min=" << hops.hop2_min_score
+            << " u=" << u;
+      }
+    }
   }
 }
 

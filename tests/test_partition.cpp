@@ -3,7 +3,10 @@
 
 #include "gas/partition.hpp"
 #include "graph/builder.hpp"
+#include "graph/compressed_csr.hpp"
 #include "graph/gen/generators.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snaple::gas {
 namespace {
@@ -216,6 +219,136 @@ TEST(FromEdgeAssignment, SixtyFourMachinesRoundRobin) {
   assign[0] = 64;
   EXPECT_THROW(Partitioning::from_edge_assignment(g, 64, assign),
                CheckError);
+}
+
+// ---------- the parallel epilogue against the serial oracle ----------
+
+/// Everything the epilogue derives from an edge assignment.
+struct Derived {
+  std::vector<MachineId> master;
+  std::vector<std::uint64_t> replicas;
+  std::vector<std::uint64_t> out_owners;
+  std::vector<std::uint64_t> in_owners;
+  std::vector<EdgeIndex> load;
+};
+
+/// The serial epilogue the parallel one replaced, kept as the oracle:
+/// one pass over the edges for replicas, masks and loads, then per
+/// vertex a tally over its out-edges and (by edge_index lookups) its
+/// in-edges; the master is the replica holding most of them, ties to
+/// the lowest machine id, and isolated vertices are hash-placed.
+Derived serial_epilogue(const CsrGraph& g, const Partitioning& p,
+                        std::uint64_t seed) {
+  const std::size_t machines = p.num_machines();
+  const VertexId n = g.num_vertices();
+  Derived d{std::vector<MachineId>(n, 0), std::vector<std::uint64_t>(n, 0),
+            std::vector<std::uint64_t>(n, 0),
+            std::vector<std::uint64_t>(n, 0),
+            std::vector<EdgeIndex>(machines, 0)};
+  EdgeIndex e = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId v : g.out_neighbors(u)) {
+      const std::uint64_t bit = std::uint64_t{1} << p.edge_machine(e);
+      ++d.load[p.edge_machine(e)];
+      d.replicas[u] |= bit;
+      d.replicas[v] |= bit;
+      d.out_owners[u] |= bit;
+      d.in_owners[v] |= bit;
+      ++e;
+    }
+  }
+  std::vector<EdgeIndex> tally(machines);
+  for (VertexId u = 0; u < n; ++u) {
+    if (d.replicas[u] == 0) {
+      const auto m =
+          static_cast<MachineId>(SplitMix64(seed ^ u).next() % machines);
+      d.replicas[u] = std::uint64_t{1} << m;
+      d.master[u] = m;
+      continue;
+    }
+    std::fill(tally.begin(), tally.end(), 0);
+    const EdgeIndex begin = g.out_offset(u);
+    for (EdgeIndex i = begin; i < begin + g.out_degree(u); ++i) {
+      ++tally[p.edge_machine(i)];
+    }
+    for (const VertexId v : g.in_neighbors(u)) {
+      ++tally[p.edge_machine(g.edge_index(v, u))];
+    }
+    int best = -1;
+    for (std::size_t m = 0; m < machines; ++m) {
+      if (((d.replicas[u] >> m) & 1u) == 0) continue;
+      if (best < 0 || tally[m] > tally[static_cast<std::size_t>(best)]) {
+        best = static_cast<int>(m);
+      }
+    }
+    d.master[u] = static_cast<MachineId>(best);
+  }
+  return d;
+}
+
+void expect_matches_oracle(const CsrGraph& g, const Partitioning& p,
+                           std::uint64_t seed) {
+  const Derived want = serial_epilogue(g, p, seed);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    ASSERT_EQ(p.master(u), want.master[u]) << "vertex " << u;
+    ASSERT_EQ(p.replicas(u).bits(), want.replicas[u]) << "vertex " << u;
+    ASSERT_EQ(p.out_edge_owners(u), want.out_owners[u]) << "vertex " << u;
+    ASSERT_EQ(p.in_edge_owners(u), want.in_owners[u]) << "vertex " << u;
+  }
+  EXPECT_EQ(p.edges_per_machine(), want.load);
+}
+
+/// A skewed directed graph with hubs, a multi-block vertex count and
+/// trailing isolated vertices.
+CsrGraph epilogue_graph() {
+  const CsrGraph base =
+      gen::orient(gen::barabasi_albert(6000, 4, 11), 0.5, 12);
+  GraphBuilder b(base.num_vertices() + 40);
+  for (VertexId u = 0; u < base.num_vertices(); ++u) {
+    for (const VertexId v : base.out_neighbors(u)) b.add_edge(u, v);
+  }
+  return b.build();
+}
+
+TEST(PartitionEpilogue, MatchesSerialOracleForEveryStrategyAndPoolSize) {
+  const CsrGraph g = epilogue_graph();
+  const auto cg = CompressedCsrGraph::from_graph(g);
+  constexpr std::uint64_t kSeed = 21;
+  for (const std::size_t workers : {1, 2, 3, 8}) {
+    ThreadPool pool(workers);
+    for (const auto strategy :
+         {PartitionStrategy::kHash, PartitionStrategy::kGreedy,
+          PartitionStrategy::kEdgeLocal}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "workers " << workers << " strategy "
+                   << static_cast<int>(strategy));
+      const auto p = Partitioning::create(g, 8, strategy, kSeed, &pool);
+      expect_matches_oracle(g, p, kSeed);
+      // The compressed graph decodes rows per thread; same partitioning.
+      const auto pc = Partitioning::create(cg, 8, strategy, kSeed, &pool);
+      for (EdgeIndex e = 0; e < g.num_edges(); ++e) {
+        ASSERT_EQ(pc.edge_machine(e), p.edge_machine(e));
+      }
+      expect_matches_oracle(g, pc, kSeed);
+    }
+  }
+}
+
+TEST(PartitionEpilogue, FromEdgeAssignmentMatchesOracleOnAnyPool) {
+  const CsrGraph g = epilogue_graph();
+  const auto cg = CompressedCsrGraph::from_graph(g);
+  std::vector<MachineId> assign(g.num_edges());
+  Rng rng(5);
+  for (auto& m : assign) m = static_cast<MachineId>(rng.next_below(64));
+  for (const std::size_t workers : {1, 2, 3, 8}) {
+    ThreadPool pool(workers);
+    SCOPED_TRACE(::testing::Message() << "workers " << workers);
+    const auto p = Partitioning::from_edge_assignment(g, 64, assign, &pool);
+    expect_matches_oracle(g, p, /*seed=*/7);
+    const auto pc =
+        Partitioning::from_edge_assignment(cg, 64, assign, &pool);
+    expect_matches_oracle(g, pc, /*seed=*/7);
+  }
 }
 
 TEST(ReplicaSet, BitOperations) {

@@ -28,6 +28,7 @@
 #include "serve/model_shard.hpp"
 #include "serve/router.hpp"
 #include "serve/transport.hpp"
+#include "serve/wire.hpp"
 
 namespace snaple {
 namespace {
@@ -540,6 +541,53 @@ TEST(ShardedServing, ErrorsCrossTheWireAsCheckErrors) {
   const QueryEngine engine(model);
   EXPECT_EQ(router.topk(0), engine.topk(0));  // connection survived
   EXPECT_EQ(server.stats().errors, 1u);
+}
+
+TEST(ShardedServing, OversizedWireCountClosesOnlyThatConnection) {
+  // A request header whose count field claims 0xFFFFFFFF elements used to
+  // make the shard resize to 4G ids (or edges); the bad_alloc escaped
+  // serve_loop and aborted the whole shard process. Now the count is
+  // rejected before any allocation: the sender gets an error response,
+  // only its connection closes, and the shard keeps serving.
+  const auto model = fit_model(3, 2);
+  const QueryEngine engine(model);
+  const VertexId n = model->num_vertices();
+  serve::ShardServer server(ModelShard::build(*model, {0, n}, true),
+                            {gas::VertexRange{0, n}});
+  const std::uint8_t ops[] = {serve::wire::kOpFetch, serve::wire::kOpBatch,
+                              serve::wire::kOpUpdate,
+                              serve::wire::kOpRemove};
+  for (const std::uint8_t op : ops) {
+    SCOPED_TRACE(::testing::Message() << "op " << int{op});
+    auto raw = serve::make_channel_pair(TransportKind::kUnixSocket);
+    server.serve(std::move(raw.server));
+    std::vector<std::uint8_t> header;
+    serve::wire::put<std::uint8_t>(header, op);
+    if (op == serve::wire::kOpBatch) {
+      serve::wire::put<std::uint64_t>(header, 5);  // k
+    }
+    serve::wire::put<std::uint32_t>(header, 0xFFFFFFFFu);
+    raw.client->send(header.data(), header.size());
+
+    EXPECT_EQ(serve::wire::get<std::uint8_t>(*raw.client),
+              serve::wire::kStatusError);
+    const std::string message = serve::wire::get_message(*raw.client);
+    EXPECT_NE(message.find("array cap"), std::string::npos) << message;
+    std::uint8_t byte = 0;
+    EXPECT_THROW(raw.client->recv(&byte, 1), TransportError);  // closed
+  }
+  EXPECT_EQ(server.stats().errors, std::size(ops));
+
+  auto link = serve::make_channel_pair(TransportKind::kUnixSocket);
+  server.serve(std::move(link.server));
+  std::vector<std::vector<std::unique_ptr<ByteChannel>>> pool(1);
+  pool[0].push_back(std::move(link.client));
+  serve::QueryRouter router({gas::VertexRange{0, n}}, std::move(pool));
+  EXPECT_EQ(router.topk(0), engine.topk(0));
+  const VertexId users[] = {1, 2};
+  const auto got = router.topk_batch(users);
+  EXPECT_EQ(got[0], engine.topk(1));
+  EXPECT_EQ(got[1], engine.topk(2));
 }
 
 TEST(ShardedServing, UnresponsiveShardFailsInflightAndGoesDead) {
