@@ -110,6 +110,9 @@
 //   ./snaple_cli twitter.bin --fit --save-model=twitter-model.bin
 //   ./snaple_cli --load-model=twitter-model.bin --query=1,7,900 --k=10
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <span>
@@ -136,9 +139,22 @@
 
 namespace {
 
+/// Parses a whole decimal flag value; throws CheckError (exit 2) on an
+/// empty value, a sign, trailing junk or overflow.
+unsigned long long parse_u64(const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+  SNAPLE_CHECK_MSG(!value.empty() && std::isdigit(
+                       static_cast<unsigned char>(value[0])) &&
+                       *end == '\0' && errno != ERANGE,
+                   "'" + value + "' is not a non-negative integer");
+  return v;
+}
+
 std::size_t parse_limit(const std::string& value) {
   if (value == "inf") return snaple::kUnlimited;
-  return std::strtoull(value.c_str(), nullptr, 10);
+  return parse_u64(value);
 }
 
 bool file_exists(const std::string& path) {
@@ -632,6 +648,8 @@ int main(int argc, char** argv) {
         config.score = parse_score_kind(value_of("--score="));
       } else if (arg.rfind("--k=", 0) == 0) {
         config.k = parse_limit(value_of("--k="));
+        SNAPLE_CHECK_MSG(config.k != kUnlimited,
+                         "--k must be a finite count");
         have_k = true;
       } else if (arg.rfind("--klocal=", 0) == 0) {
         config.k_local = parse_limit(value_of("--klocal="));
@@ -642,7 +660,11 @@ int main(int argc, char** argv) {
         SNAPLE_CHECK_MSG(config.k_hops == 2 || config.k_hops == 3,
                          "--khops must be 2 or 3");
       } else if (arg.rfind("--hop2min=", 0) == 0) {
-        config.hop2_min_score = std::atof(value_of("--hop2min=").c_str());
+        const std::string v = value_of("--hop2min=");
+        char* end = nullptr;
+        config.hop2_min_score = std::strtod(v.c_str(), &end);
+        SNAPLE_CHECK_MSG(!v.empty() && *end == '\0',
+                         "'" + v + "' is not a number");
       } else if (arg.rfind("--machines=", 0) == 0) {
         machines = parse_limit(value_of("--machines="));
       } else if (arg.rfind("--partition=", 0) == 0) {
@@ -663,7 +685,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--compress") {
         compress = true;
       } else if (arg.rfind("--seed=", 0) == 0) {
-        config.seed = std::strtoull(value_of("--seed=").c_str(), nullptr, 10);
+        config.seed = parse_u64(value_of("--seed="));
       } else if (arg.rfind("--out=", 0) == 0) {
         out_path = value_of("--out=");
       } else if (arg.rfind("--threads=", 0) == 0) {
@@ -698,8 +720,7 @@ int main(int argc, char** argv) {
         } else if (t == "tcp" || t.rfind("tcp:", 0) == 0) {
           serve_transport = serve::TransportKind::kTcp;
           if (t.size() > 4) {
-            const unsigned long port =
-                std::strtoul(t.c_str() + 4, nullptr, 10);
+            const unsigned long long port = parse_u64(t.substr(4));
             SNAPLE_CHECK_MSG(port >= 1 && port <= 65535,
                              "--serve-transport=tcp:PORT needs a port "
                              "in [1, 65535]");

@@ -1,8 +1,6 @@
 // Single-row recompute entry points over a base+delta union graph —
-// the writer-side core shared by core/dynamic_model.cpp (one process
-// absorbs every insert) and serve/live_shard.cpp (each serving shard
-// absorbs the same insert stream but republishes only its own vertex
-// range).
+// the writer-side kernels of the live-row store (core/dynamic_model.hpp),
+// whatever vertex range that store owns.
 //
 // Everything here is a pure function of (union graph, config, seed):
 // recomputing the same row twice — or on two different shards — yields
@@ -31,8 +29,7 @@
 // docs/SERVING.md). Because the sets depend only on the batch and the
 // live graph, every shard computes the same sets from the op stream
 // alone (kEdgeLocal machine tags are endpoint-hash-stable, so no
-// placement history is needed either) — the property ISSUE 9 calls
-// "per-shard stale sets computable".
+// placement history is needed either).
 #pragma once
 
 #include <algorithm>
@@ -51,7 +48,7 @@ namespace snaple::rows {
 
 /// One immutable published row. `scores` is empty for Γ̂ rows;
 /// `machines` is populated for sims rows only. Published behind an
-/// atomic pointer (RCU-style) by DynamicModel and LiveShard.
+/// atomic pointer (RCU-style) by DynamicModel.
 struct RowSlab {
   std::vector<VertexId> ids;
   std::vector<float> scores;

@@ -1,80 +1,44 @@
-// LiveShard — one serving shard's LIVE slice of the model: the
-// update-plane backend that keeps a sharded cluster fresh without a
-// freeze()/re-shard cycle.
+// LiveShard — one serving shard's LIVE slice of the model: a
+// DynamicModel (core/dynamic_model.hpp) scoped to the shard's vertex
+// range, plus the serving-side reads a ShardServer needs.
 //
 // Where ModelShard serves an immutable RowsSlice, a LiveShard owns its
-// range's rows as versioned, RCU-published slabs over the base model,
-// exactly the DynamicModel machinery (core/row_recompute.hpp) scoped to
-// one vertex range. The update plane fans EVERY insert or remove batch
-// to EVERY shard (UpdateRouter); each shard then:
+// range's rows as versioned, RCU-published slabs over the base model.
+// The update plane fans EVERY insert or remove batch to EVERY shard
+// (UpdateRouter), and each shard applies it with the store's own
+// add_edges/remove_edges: validate (deterministic, so all shards accept
+// or all reject — batch atomicity without a commit protocol), mutate
+// its overlay, derive the stale sets, republish only the stale rows it
+// owns — the 1/S-th of the update work that is this shard's share — and
+// bump row_version for every stale vertex, owned or not. All shards
+// therefore agree on every version with no coordination, and the
+// versions key the hot-row cache (serve/row_cache.hpp), so a cached
+// copy of a republished row can never serve again. Non-owned
+// dependencies of a recompute never cross the wire: the store
+// recomputes them from its own live graph (kEdgeLocal's
+// endpoint-hash-stable machine tags make that exact).
 //
-//   1. validates the batch against its own live graph — the checks are
-//      deterministic and every shard holds the same live graph, so all
-//      shards accept or all reject: batch atomicity without a commit
-//      protocol;
-//   2. applies the batch to its own base+delta+tombstone overlay;
-//   3. derives the stale row sets (rows::compute_stale_sets — a pure
-//      function of batch + live graph, identical on every shard, and
-//      the same for removes as for inserts by the symmetry argument in
-//      row_recompute.hpp);
-//   4. recomputes and republishes ONLY the stale rows it owns — the
-//      1/S-th of the update work that is this shard's share;
-//   5. bumps row_version for EVERY stale vertex, owned or not. The
-//      versions are derived from the same deterministic sets, so all
-//      shards agree on every vertex's version with no coordination —
-//      and the versions key the hot-row cache (serve/row_cache.hpp), so
-//      a cached copy of a republished row can never serve again.
-//
-// Out-of-range dependencies during recompute (sims(x) reads Γ̂ of x's
-// union out-neighbors; hop2(x) reads sims of x's retained neighbors —
-// either may live on another shard) are resolved WITHOUT any wire
-// traffic: every row is a pure function of (union graph, config, seed),
-// so the shard recomputes a non-owned stale dependency on the fly from
-// its own union graph, memoized per apply. Non-stale dependencies read
-// straight from the base model. This is what kEdgeLocal's
-// endpoint-hash-stable machine tags buy: no placement history, no
-// cross-shard row exchange, bit-identical floats everywhere.
-//
-// Concurrency: single writer (the shard's update link), any number of
-// reader threads (frontend queries, peer fetches) with no reader locks
-// — each row flips atomically behind an acquire/release pointer, and
-// retired slabs are never freed while the shard lives (the DynamicModel
-// discipline). During a writer burst a query may observe some rows pre-
-// and some post-batch (row-level isolation); once apply() returns on
-// every shard — UpdateRouter::barrier() — every served answer is
+// Concurrency: the store's single-writer, lock-free-reader discipline.
+// During a writer burst a query may observe some rows pre- and some
+// post-batch (row-level isolation); once the batch has applied on every
+// shard — UpdateRouter::barrier() — every served answer is
 // bit-identical to LinkPredictor::fit on the live graph.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "core/model.hpp"
-#include "core/row_recompute.hpp"
+#include "core/dynamic_model.hpp"
 #include "gas/partition.hpp"
-#include "graph/overlay_graph.hpp"
 #include "serve/model_shard.hpp"
 
 namespace snaple::serve {
 
-class LiveShard {
+class LiveShard : public DynamicModel {
  public:
-  /// What one apply() touched. The row counts are THIS shard's owned
-  /// republishes (summing them across a cluster's shards yields the
-  /// global stale-row counts, since ranges partition the vertex space);
-  /// the version is this shard's total applied operations afterwards.
-  struct ApplyStats {
-    std::uint64_t edges = 0;
-    std::uint64_t gamma_rows = 0;
-    std::uint64_t sims_rows = 0;
-    std::uint64_t hop2_rows = 0;
-    std::uint64_t version = 0;
-  };
-
   /// One owned row snapshot with the version it was read at — what a
   /// peer fetch ships (router.hpp op 2 carries the version so the
   /// fetching shard caches under the OWNER's key, never its own
@@ -87,53 +51,18 @@ class LiveShard {
   /// Wraps `base` (fit on `graph` with PartitionStrategy::kEdgeLocal,
   /// or any single-machine fit) for live serving of `range`. Verifies
   /// the owned rows' machine tags against the insertion-stable
-  /// placement (throws CheckError otherwise, and on Γrnd with K=3 —
-  /// same constraints as DynamicModel, same reasons).
+  /// placement (throws CheckError otherwise, on a range outside the
+  /// model, and on Γrnd with K=3 — DynamicModel's constraints).
   LiveShard(std::shared_ptr<const PredictorModel> base,
             std::shared_ptr<const CsrGraph> graph, gas::VertexRange range,
-            std::optional<std::uint64_t> partition_seed = std::nullopt);
-
-  LiveShard(const LiveShard&) = delete;
-  LiveShard& operator=(const LiveShard&) = delete;
-
-  // ---- writer API (one writer at a time; safe against readers) ----
-
-  /// Applies one insert batch: validate (all-or-nothing), insert,
-  /// recompute this shard's stale owned rows, bump every stale vertex's
-  /// version. Throws CheckError on a bad batch; a throwing call changes
-  /// nothing.
-  ApplyStats apply(std::span<const Edge> batch);
-
-  /// Applies one remove batch — same contract, same stale row families
-  /// (removing (u, v) touches exactly what inserting it would), same
-  /// deterministic all-accept-or-all-reject atomicity across shards.
-  ApplyStats apply_removes(std::span<const Edge> batch);
-
-  // ---- reader API (lock-free) ----
-
-  [[nodiscard]] const gas::VertexRange& range() const noexcept {
-    return range_;
-  }
-  [[nodiscard]] bool owns(VertexId u) const noexcept {
-    return range_.contains(u);
-  }
-  [[nodiscard]] VertexId num_vertices() const noexcept {
-    return base_->num_vertices();
-  }
-  [[nodiscard]] const SnapleConfig& config() const noexcept {
-    return base_->config();
-  }
-
-  /// Current rows of an OWNED vertex (throws CheckError otherwise —
-  /// non-owned rows live on their owning shard; fetch them).
-  [[nodiscard]] std::span<const VertexId> gamma_hat(VertexId u) const;
-  [[nodiscard]] PredictorModel::SimsView sims(VertexId v) const;
-  [[nodiscard]] PredictorModel::Hop2View hop2(VertexId v) const;
+            std::optional<std::uint64_t> partition_seed = std::nullopt)
+      : DynamicModel(std::move(base), std::move(graph), range,
+                     partition_seed, nullptr) {}
 
   /// Retained neighbors of owned u whose rows are NOT owned here,
   /// sorted ascending — what the serving layer resolves (cache or peer
   /// fetch) before topk(u). Reads u's CURRENT sims row and, when `root`
-  /// is non-null, pins the view it read there: a concurrent apply may
+  /// is non-null, pins the view it read there: a concurrent update may
   /// republish u's row between this call and topk(u), and the fold MUST
   /// iterate the same neighbor set the missing list was derived from —
   /// pass the pin through to topk. The pinned spans stay valid for the
@@ -156,72 +85,8 @@ class LiveShard {
   /// mid-read can never ship under a newer version than its bytes).
   [[nodiscard]] VersionedRow snapshot_row(VertexId v) const;
 
-  /// Times any of v's rows was republished cluster-wide — identical on
-  /// every shard (deterministic stale sets), maintained for ALL
-  /// vertices so fetched-row cache keys always agree with the owner.
-  [[nodiscard]] std::uint64_t row_version(VertexId v) const {
-    SNAPLE_DCHECK(v < num_vertices());
-    return row_version_[v].load(std::memory_order_acquire);
-  }
-
-  /// Total applied operations — inserts plus removals (monotone; the
-  /// barrier quantity).
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  /// Bytes held beyond the base model: live + retired slabs, the
-  /// overlay delta rows and the version/dirty tables.
-  [[nodiscard]] std::size_t overlay_bytes() const noexcept;
-
-  [[nodiscard]] const PredictorModel& base() const noexcept {
-    return *base_;
-  }
-
  private:
-  using RowSlab = rows::RowSlab;
-  /// Owned-range tables: index u - range_.begin.
-  using RowTable = std::vector<std::atomic<const RowSlab*>>;
-
-  struct ApplyScratch;  // per-apply memo of on-the-fly dependency rows
-  struct FoldSource;    // current-row source for the hop2 recompute fold
-  struct ServeSource;   // owned-or-overlay row source for topk
-
-  [[nodiscard]] std::span<const VertexId> current_gamma(
-      VertexId v, ApplyScratch& scratch) const;
-  [[nodiscard]] PredictorModel::SimsView current_sims(
-      VertexId v, ApplyScratch& scratch) const;
-
-  /// Shared tail of apply()/apply_removes(): stale sets against the
-  /// already mutated overlay, dirty flags, owned republishes in
-  /// dependency order, version bumps.
-  ApplyStats republish_stale(std::span<const Edge> batch);
-
-  void publish(RowTable& table, VertexId u, std::unique_ptr<RowSlab> slab);
-
-  std::shared_ptr<const PredictorModel> base_;
-  OverlayGraph overlay_;
-  gas::VertexRange range_;
-  std::uint64_t partition_seed_;
-  ScoreConfig score_;    // resolved once from the model's config
-  bool hop2_skip_zero_;  // rows::hop2_zero_skip, fixed per config
-
-  RowTable gamma_rows_;  // sized range_.size()
-  RowTable sims_rows_;
-  RowTable hop2_rows_;   // empty vector for K=2 models
-  std::unique_ptr<std::atomic<std::uint64_t>[]> row_version_;  // full n
-  std::atomic<std::uint64_t> version_{0};
-
-  /// Writer-private staleness of NON-owned base rows (full n): set when
-  /// a vertex's gamma/sims staled in any applied batch. A dirty
-  /// dependency is recomputed on the fly; a clean one reads the base
-  /// model. Owned rows never consult these — their tables are current.
-  std::vector<char> gamma_dirty_;
-  std::vector<char> sims_dirty_;
-
-  /// Every slab ever published, live or superseded — deferred
-  /// reclamation is what lets readers run without locks or epochs.
-  std::vector<std::unique_ptr<const RowSlab>> slabs_;
+  struct ServeSource;  // owned-or-overlay row source for topk
 };
 
 }  // namespace snaple::serve

@@ -326,12 +326,15 @@ void ShardServer::handle_edge_batch(ByteChannel& ch, bool remove) {
                               "cluster in live mode to apply removals"
                             : "update sent to a static shard — build the "
                               "cluster in live mode to apply inserts");
-    LiveShard::ApplyStats applied;
+    LiveShard::UpdateStats applied;
+    std::uint64_t version = 0;
     {
       // One link carries the plane's writes in normal operation; the
       // lock makes multi-link configurations safe rather than racy.
       std::lock_guard<std::mutex> lock(update_mu_);
-      applied = remove ? live_->apply_removes(batch) : live_->apply(batch);
+      applied = remove ? live_->remove_edges(batch)
+                       : live_->add_edges(batch);
+      version = live_->version();
     }
     auto& batches = remove ? remove_batches_ : update_batches_;
     auto& edges = remove ? remove_edges_ : update_edges_;
@@ -344,7 +347,7 @@ void ShardServer::handle_edge_batch(ByteChannel& ch, bool remove) {
     hop2_republished_.fetch_add(applied.hop2_rows,
                                 std::memory_order_relaxed);
     put<std::uint8_t>(buf, kStatusOk);
-    put<std::uint64_t>(buf, applied.version);
+    put<std::uint64_t>(buf, version);
     put<std::uint64_t>(buf, applied.gamma_rows);
     put<std::uint64_t>(buf, applied.sims_rows);
     put<std::uint64_t>(buf, applied.hop2_rows);

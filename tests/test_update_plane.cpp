@@ -18,14 +18,19 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/dynamic_model.hpp"
 #include "core/predictor.hpp"
 #include "core/query_engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/datasets.hpp"
+#include "serve/live_shard.hpp"
+#include "serve/model_shard.hpp"
 #include "serve/router.hpp"
 #include "serve/transport.hpp"
 
@@ -330,6 +335,77 @@ TEST(UpdatePlaneEquivalence, InsertRemoveInterleavingsMatchLiveRefit) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+template <typename T>
+std::vector<T> to_vec(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(UpdatePlaneEquivalence, ShardRowsAndVersionsMatchTheFullStore) {
+  // The served-answer tests above cannot see the rows or the version
+  // tables. Here every per-range LiveShard, fed the same churn as one
+  // full-range DynamicModel, must hold that model's Γ̂, sims (ids,
+  // scores AND machines) and hop2 rows for every vertex it owns, and
+  // agree on row_version for EVERY vertex, owned or not — the cache
+  // keys rest on that agreement.
+  for (const std::size_t k_hops : {2ul, 3ul}) {
+    const CsrGraph full = gen::make_dataset("gowalla", 0.02, 5);
+    const Split split = split_graph(full, 24);
+    const Churn churn = make_churn(split, 50 + k_hops);
+    ASSERT_TRUE(std::any_of(churn.ops.begin(), churn.ops.end(),
+                            [](const EdgeOp& op) { return op.remove; }));
+    SnapleConfig cfg;
+    cfg.k_local = 10;
+    cfg.k_hops = k_hops;
+    cfg.seed = 5;
+    const auto base_model = fit_edge_local(*split.base, cfg, 4);
+    const VertexId n = base_model->num_vertices();
+
+    DynamicModel store(base_model, split.base);
+    for (const EdgeOp& op : churn.ops) {
+      (void)(op.remove ? store.remove_edges(op.edges)
+                       : store.add_edges(op.edges));
+    }
+    ASSERT_EQ(store.version(), churn.total_edges);
+
+    for (const std::size_t shards : {1ul, 2ul, 3ul}) {
+      const auto ranges = serve::plan_shard_ranges(*base_model, shards);
+      ASSERT_EQ(ranges.size(), shards);
+      for (const gas::VertexRange& range : ranges) {
+        serve::LiveShard live(base_model, split.base, range);
+        for (const EdgeOp& op : churn.ops) {
+          (void)(op.remove ? live.remove_edges(op.edges)
+                           : live.add_edges(op.edges));
+        }
+        ASSERT_EQ(live.version(), store.version());
+        std::size_t bumped = 0;
+        for (VertexId v = 0; v < n; ++v) {
+          const std::string where = "K=" + std::to_string(k_hops) +
+                                    " shards=" + std::to_string(shards) +
+                                    " range=[" +
+                                    std::to_string(range.begin) + "," +
+                                    std::to_string(range.end) +
+                                    ") v=" + std::to_string(v);
+          ASSERT_EQ(live.row_version(v), store.row_version(v)) << where;
+          if (store.row_version(v) > 0) ++bumped;
+          if (!live.owns(v)) continue;
+          ASSERT_EQ(to_vec(live.gamma_hat(v)), to_vec(store.gamma_hat(v)))
+              << where;
+          const auto ls = live.sims(v);
+          const auto ds = store.sims(v);
+          ASSERT_EQ(to_vec(ls.ids), to_vec(ds.ids)) << where;
+          ASSERT_EQ(to_vec(ls.scores), to_vec(ds.scores)) << where;
+          ASSERT_EQ(to_vec(ls.machines), to_vec(ds.machines)) << where;
+          const auto lh = live.hop2(v);
+          const auto dh = store.hop2(v);
+          ASSERT_EQ(to_vec(lh.ids), to_vec(dh.ids)) << where;
+          ASSERT_EQ(to_vec(lh.scores), to_vec(dh.scores)) << where;
+        }
+        EXPECT_GT(bumped, 0u);  // the churn really republished rows
       }
     }
   }
@@ -703,6 +779,23 @@ TEST(UpdatePlaneRejection, LiveClusterRequiresFetchModeAndStableTags) {
       ServingCluster(ok_model, nullptr,
                      live_options(2, TransportKind::kInProcess)),
       CheckError);
+
+  // A shard range must lie inside the model.
+  const VertexId n = ok_model->num_vertices();
+  EXPECT_THROW(serve::LiveShard(ok_model, g, {0, n + 1}), CheckError);
+  EXPECT_THROW(serve::LiveShard(ok_model, g, {5, 3}), CheckError);
+
+  // A shard serves only the rows it owns: reads of any other vertex
+  // throw instead of quietly answering from the base model.
+  const serve::LiveShard half(ok_model, g, {0, n / 2});
+  const VertexId other = n - 1;
+  ASSERT_FALSE(half.owns(other));
+  EXPECT_THROW((void)half.gamma_hat(other), CheckError);
+  EXPECT_THROW((void)half.sims(other), CheckError);
+  EXPECT_THROW((void)half.hop2(other), CheckError);
+  EXPECT_THROW((void)half.topk(other), CheckError);
+  EXPECT_THROW((void)half.snapshot_row(other), CheckError);
+  EXPECT_NO_THROW((void)half.sims(0));
 }
 
 // ---------- version and stats accounting ----------
