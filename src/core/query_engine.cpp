@@ -12,10 +12,6 @@ namespace snaple {
 std::vector<std::pair<VertexId, float>> rank_candidates(
     const rows::PathFoldMap& candidates, const Aggregator& agg,
     std::size_t k) {
-  // At most size() entries can come back, so clamp before TopK reserves
-  // k slots — a huge caller k (e.g. "inf" from a CLI) must mean "all",
-  // not a length_error from the reserve.
-  k = std::min(k, candidates.size());
   TopK<VertexId, double> top(k);
   candidates.for_each_candidate(
       agg, [&](VertexId z, float sigma, std::uint32_t n) {

@@ -1,6 +1,7 @@
 #include "core/snaple_program.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/snaple_rows.hpp"
@@ -73,14 +74,17 @@ struct StepContext {
 
 /// Cross-machine partial merge for the ScoreMap steps: fold the other
 /// shard's (z, σ, n) triplets with the same ⊕pre the gather uses — the
-/// `merge` of Algorithm 2 line 16, now also the wire-level sum.
+/// `merge` of Algorithm 2 line 16, now also the wire-level sum. `from` is
+/// the other partial's slot run (a received sealed run, or a local
+/// table's slots with their holes), read in place.
 auto make_merge_scores(const Aggregator agg) {
-  return [agg](ScoreMap& into, ScoreMap&& from) {
-    from.for_each([&](VertexId z, float sigma, std::uint32_t paths) {
-      into.accumulate(z, sigma, paths, [&](float a, float b) {
-        return static_cast<float>(agg.pre(a, b));
-      });
-    });
+  return [agg](ScoreMap& into, std::span<const ScoreMap::Slot> from) {
+    ScoreMap::for_each_slot(
+        from, [&](VertexId z, float sigma, std::uint32_t paths) {
+          into.accumulate(z, sigma, paths, [&](float a, float b) {
+            return static_cast<float>(agg.pre(a, b));
+          });
+        });
   };
 }
 

@@ -15,11 +15,15 @@
 //     size in bytes* of that contribution (0 = no contribution; the
 //     accumulator must be left untouched in that case). The fold must be
 //     commutative and associative across a vertex's edges.
-//   MergeFn: (Acc& into, Acc&& from) -> void
-//     Combines two partial accumulators of the same vertex — PowerGraph's
-//     sum() — used when a vertex's edges live on several machines. The
-//     default merge calls Acc::merge(Acc&&) if present, or appends when
-//     Acc is a container (std::vector).
+//   MergeFn: (Acc& into, std::span<E> from) -> void
+//     Folds another partial of the same vertex into `into` — PowerGraph's
+//     sum() — used when a vertex's edges live on several machines. `from`
+//     is that partial as an element run (E is PartialRun<Acc>::Elem,
+//     possibly const; exchange.hpp): a received outbox record in sharded
+//     mode, a view of the local partial in flat mode. The merge may move
+//     from the elements. The default merge calls Acc::merge(Acc&&) on a
+//     value accumulator's single element, or appends a container's
+//     elements.
 //   ApplyFn: (VertexId u, VD& du, Acc& acc, std::size_t contributions)
 //
 // The scatter phase is omitted: the paper's Algorithm 2 "do[es] not use
@@ -38,11 +42,11 @@
 //     (local CSR + global→local remap, shard.hpp) and a replica-local VD
 //     array. A superstep runs one task per shard on the ThreadPool in
 //     three barrier-separated phases: (A) gather over shard-local edges
-//     into shard-local accumulators, building mirror→master partial-sum
-//     MessageBuffers; (B) masters drain the buffers, merge partials in
-//     ascending machine order, apply, and build master→mirror vertex-data
-//     sync buffers; (C) mirrors drain the syncs into their replica
-//     arrays. net_bytes/messages are *measured* from the buffers that
+//     into shard-local accumulators, appending mirror→master partial-sum
+//     runs to flat MessageBuffers; (B) masters drain the buffers, merge
+//     partials in ascending machine order, apply, and build master→mirror
+//     vertex-data sync buffers; (C) mirrors drain the syncs into their
+//     replica arrays. net_bytes/messages are *measured* from the buffers that
 //     were actually built (exchange.hpp), not tallied.
 //
 // Both modes fold a vertex's edges grouped by owning machine (CSR order
@@ -70,6 +74,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,15 +158,17 @@ namespace detail {
 template <typename>
 inline constexpr bool kAlwaysFalse = false;
 
-/// Default partial-accumulator merge: Acc::merge(Acc&&) when available,
-/// container append for vector-like accumulators. Programs whose merge
-/// needs runtime state (e.g. a configurable ⊕pre) pass an explicit merge
-/// callable to step() instead.
+/// Default partial-accumulator merge over a PartialRun: Acc::merge(Acc&&)
+/// on a value accumulator's single element, container append for
+/// vector-like accumulators. Programs whose merge needs runtime state
+/// (e.g. a configurable ⊕pre) pass an explicit merge callable to step()
+/// instead.
 struct DefaultAccMerge {
-  template <typename Acc>
-  void operator()(Acc& into, Acc&& from) const {
-    if constexpr (requires { into.merge(std::move(from)); }) {
-      into.merge(std::move(from));
+  template <typename Acc, typename E>
+  void operator()(Acc& into, std::span<E> from) const {
+    if constexpr (requires { into.merge(std::move(from.front())); }) {
+      SNAPLE_DCHECK(from.size() == 1);
+      into.merge(std::move(from.front()));
     } else if constexpr (requires {
                            into.insert(into.end(),
                                        std::make_move_iterator(from.begin()),
@@ -176,29 +183,6 @@ struct DefaultAccMerge {
     }
   }
 };
-
-/// Exports a gathered partial accumulator into a message payload while
-/// keeping the caller's scratch warm (its capacity survives for the next
-/// vertex). Preference order: an export_compact() member (right-sized
-/// extract-and-reset in one sweep, e.g. ScoreMap), a plain copy for flat
-/// containers of trivially-copyable elements (right-sized by the library),
-/// then move (scratch pays regrowth, but deep copies would cost more).
-template <typename Acc>
-[[nodiscard]] Acc export_partial(Acc& scratch) {
-  if constexpr (requires { scratch.export_compact(); }) {
-    return scratch.export_compact();
-  } else if constexpr (requires {
-                         scratch.data();
-                         requires std::is_trivially_copyable_v<
-                             typename Acc::value_type>;
-                       }) {
-    return Acc(scratch);
-  } else {
-    Acc out = std::move(scratch);
-    scratch.clear();  // restore the moved-from scratch to a usable state
-    return out;
-  }
-}
 
 }  // namespace detail
 
@@ -318,9 +302,10 @@ class Engine {
   }
 
   /// As above with an explicit partial-accumulator merge (PowerGraph's
-  /// sum()): merge(Acc& into, Acc&& from) combines two partials of the
-  /// same vertex. Partials are always merged in ascending machine-id
-  /// order, identically in both execution modes.
+  /// sum()): merge(Acc& into, std::span<E> from) folds another partial's
+  /// element run into `into` (see the header comment). Partials are
+  /// always merged in ascending machine-id order, identically in both
+  /// execution modes.
   template <typename Acc, typename GatherSumFn, typename MergeFn,
             typename ApplyFn>
   StepStats step(const StepOptions& opt, GatherSumFn&& gather_sum,
@@ -345,6 +330,7 @@ class Engine {
     const std::size_t machines = part_.num_machines();
     const std::size_t slots = pool_->slot_count();
     const std::size_t grain = resolve_grain(opt);
+    using Run = PartialRun<Acc>;
 
     struct WorkerState {
       Acc acc{};
@@ -436,7 +422,7 @@ class Engine {
           std::swap(ws.acc, ws.partials[m]);
           first = false;
         } else {
-          merge(ws.acc, std::move(ws.partials[m]));
+          merge(ws.acc, Run::view(ws.partials[m]));
         }
         ws.partials[m].clear();
         ws.partial_bytes[m] = 0;
@@ -556,6 +542,7 @@ class Engine {
     ensure_shards_fresh();
     const std::size_t machines = part_.num_machines();
     const ShardTopology& topo = *topo_;
+    using Run = PartialRun<Acc>;
 
     struct ShardScratch {
       // Partial accumulators for *deferred* masters (those that may
@@ -574,16 +561,12 @@ class Engine {
       std::size_t gather_calls = 0;
       std::size_t contributions = 0;
     };
-    std::vector<ShardScratch> scratch(machines);
-    ExchangeGrid<Acc> partial_grid(machines);
-    // Sync payloads are pointers into the sending master's replica array
-    // (stable for the whole step): the wire size is still the vertex
-    // datum's modeled encoding, but the in-process hand-off is zero-copy
-    // until the drain, where the copy-assignment reuses whatever heap
-    // capacity the mirror's previous value already owned — the
-    // shared-memory-transport equivalent of writing into a pinned
-    // receive buffer.
-    ExchangeGrid<const VD*> sync_grid(machines);
+
+    StepStats stats;
+    stats.name = opt.name;
+    std::vector<MachineLoad> loads(machines);
+    std::vector<std::size_t> acc_bytes(machines, 0);
+    std::vector<std::size_t> vd_bytes(machines, 0);
 
     std::atomic<std::size_t> live_acc_bytes{0};
     const std::size_t cluster_budget =
@@ -602,46 +585,6 @@ class Engine {
         owners |= part_.in_edge_owners(u);
       }
       return owners;
-    };
-
-    // Accounts and applies one finished master vertex (shared between the
-    // phase-A fast path and the phase-B deferred path; both run in shard
-    // d's task, so the outboxes stay single-writer).
-    auto finish_master = [&](std::size_t di, std::vector<VD>& repl,
-                             ShardScratch& sc, VertexId l, VertexId u,
-                             Acc& merged, std::size_t total_bytes,
-                             std::size_t contribs) {
-      if (total_bytes > 0) {
-        sc.acc_bytes += total_bytes + kAccumulatorHeaderBytes;
-        if (cluster_budget > 0) {
-          const std::size_t now =
-              live_acc_bytes.fetch_add(total_bytes,
-                                       std::memory_order_relaxed) +
-              total_bytes;
-          if (now > cluster_budget) {
-            throw ResourceExhausted(
-                "gather accumulators reached " + std::to_string(now) +
-                " bytes in step '" + opt.name +
-                "', exceeding the cluster's " +
-                std::to_string(cluster_budget) + "-byte budget");
-          }
-        }
-      }
-      apply(u, repl[l], merged, contribs);
-      sc.loads[di].work_units += 1.0 + static_cast<double>(contribs) * 0.25;
-      // Post-apply vertex-data size: this master's share of the audit
-      // (mirrors are audited from the sync payload sizes they receive).
-      const std::size_t sz = vd_size_(repl[l]);
-      sc.vd_bytes += sz;
-      // Re-synchronize Du to every mirror through real sync buffers.
-      if (part_.replicas(u).count() > 1) {
-        part_.replicas(u).for_each([&](MachineId r) {
-          if (r != static_cast<MachineId>(di)) {
-            sync_grid.outbox(di, r).push(
-                u, static_cast<std::uint32_t>(sz), 0, &repl[l]);
-          }
-        });
-      }
     };
 
     // Folds vertex l's shard-local edges into `acc`, tallying per-edge
@@ -668,223 +611,281 @@ class Engine {
       }
     };
 
+    // The step's wall time runs from its first buffer allocation to the
+    // release of its last one: the scratch and both grids live in this
+    // block, so their teardown is inside the measured step.
     WallTimer timer;
+    {
+      std::vector<ShardScratch> scratch(machines);
+      ExchangeGrid<typename Run::Elem> partial_grid(machines);
+      // Sync payloads are pointers into the sending master's replica array
+      // (stable for the whole step): the wire size is still the vertex
+      // datum's modeled encoding, but the in-process hand-off is zero-copy
+      // until the drain, where the copy-assignment reuses whatever heap
+      // capacity the mirror's previous value already owned — the
+      // shared-memory-transport equivalent of writing into a pinned
+      // receive buffer.
+      ExchangeGrid<const VD*> sync_grid(machines);
 
-    // ---- Phase A: shard-local gather + partial-sum buffer build. ----
-    // Mirrors always gather here (their partials must cross the barrier).
-    // Masters gather here only in two-phase mode, into per-vertex
-    // accumulators held until phase B — materializing every accumulator
-    // is exactly what two-phase semantics (and its memory appetite)
-    // mean. In fused mode masters gather lazily in phase B with reusable
-    // scratch instead: the fused contract (apply writes nothing gathers
-    // read) makes interleaved same-shard applies safe, and it keeps the
-    // per-vertex allocation profile identical to the flat engine's.
-    WallTimer phase_timer;
-    pool_->parallel_for(0, machines, [&](std::size_t mi, std::size_t) {
-      const Shard& sh = topo.shard(mi);
-      std::vector<VD>& repl = replica_[mi];
-      ShardScratch& sc = scratch[mi];
-      sc.loads.resize(machines);
-      if (!fused) {
-        sc.own_partial.resize(sh.num_masters());
-        sc.own_bytes.assign(sh.num_masters(), 0);
-        sc.own_contribs.assign(sh.num_masters(), 0);
-      }
-
-      Acc mirror_acc{};  // reused across mirror vertices
-      std::size_t rank = 0;
-      const auto n_local = static_cast<VertexId>(sh.num_local());
-      for (VertexId l = 0; l < n_local; ++l) {
-        const bool owned = sh.owns(l);
-        if (owned && fused) continue;  // gathered in phase B
-        Acc* acc;
-        if (owned) {
-          acc = &sc.own_partial[rank];
-        } else {
-          mirror_acc.clear();
-          acc = &mirror_acc;
+      // Accounts and applies one finished master vertex (shared between
+      // the phase-A fast path and the phase-B deferred path; both run in
+      // shard d's task, so the outboxes stay single-writer).
+      auto finish_master = [&](std::size_t di, std::vector<VD>& repl,
+                               ShardScratch& sc, VertexId l, VertexId u,
+                               Acc& merged, std::size_t total_bytes,
+                               std::size_t contribs) {
+        if (total_bytes > 0) {
+          sc.acc_bytes += total_bytes + kAccumulatorHeaderBytes;
+          if (cluster_budget > 0) {
+            const std::size_t now =
+                live_acc_bytes.fetch_add(total_bytes,
+                                         std::memory_order_relaxed) +
+                total_bytes;
+            if (now > cluster_budget) {
+              throw ResourceExhausted(
+                  "gather accumulators reached " + std::to_string(now) +
+                  " bytes in step '" + opt.name +
+                  "', exceeding the cluster's " +
+                  std::to_string(cluster_budget) + "-byte budget");
+            }
+          }
         }
-        const VertexId u = sh.global_id(l);
-        std::uint32_t contribs = 0;
-        std::size_t bytes = 0;
-        gather_local(sh, repl, sc, mi, l, u, *acc, contribs, bytes);
-        sc.contributions += contribs;
-        if (owned) {
-          sc.own_bytes[rank] = static_cast<std::uint32_t>(bytes);
-          sc.own_contribs[rank] = contribs;
-          ++rank;
-        } else if (bytes > 0) {
-          // Mirror with contributions: ship the partial to the master.
-          partial_grid.outbox(mi, part_.master(u))
-              .push(u, static_cast<std::uint32_t>(bytes), contribs,
-                    detail::export_partial(mirror_acc));
+        apply(u, repl[l], merged, contribs);
+        sc.loads[di].work_units +=
+            1.0 + static_cast<double>(contribs) * 0.25;
+        // Post-apply vertex-data size: this master's share of the audit
+        // (mirrors are audited from the sync payload sizes they receive).
+        const std::size_t sz = vd_size_(repl[l]);
+        sc.vd_bytes += sz;
+        // Re-synchronize Du to every mirror through real sync buffers.
+        if (part_.replicas(u).count() > 1) {
+          part_.replicas(u).for_each([&](MachineId r) {
+            if (r != static_cast<MachineId>(di)) {
+              sync_grid.outbox(di, r).push(
+                  u, static_cast<std::uint32_t>(sz), 0, &repl[l]);
+            }
+          });
         }
-      }
-    });
-    const double gather_build_s = phase_timer.seconds();
+      };
 
-    // Measured partial-sum traffic: the size of the buffers just built.
-    StepStats stats;
-    stats.name = opt.name;
-    std::vector<MachineLoad> loads(machines);
-    for (std::size_t s = 0; s < machines; ++s) {
-      for (std::size_t d = 0; d < machines; ++d) {
-        if (s == d) continue;
-        const std::size_t wire = partial_grid.outbox(s, d).wire_bytes();
-        if (wire > 0) charge_transfer(loads, s, d, wire);
-      }
-    }
-    stats.net_bytes += partial_grid.wire_bytes();
-    stats.messages += partial_grid.message_count();
-
-    // ---- Phase B: masters merge partials (ascending machine order),
-    // apply, and build the vertex-data sync buffers. ----
-    phase_timer.restart();
-    pool_->parallel_for(0, machines, [&](std::size_t di, std::size_t) {
-      const Shard& sh = topo.shard(di);
-      std::vector<VD>& repl = replica_[di];
-      ShardScratch& sc = scratch[di];
-
-      // The sync fan-out is known from the topology — reserve the
-      // outboxes so pushes never reallocate mid-phase.
-      for (std::size_t r = 0; r < machines; ++r) {
-        if (r != di && sh.sync_fanout()[r] > 0) {
-          sync_grid.outbox(di, r).reserve(sh.sync_fanout()[r]);
-        }
-      }
-
-      // Every inbox is ordered by ascending global vertex id (shards walk
-      // local vertices in ascending global order), so a cursor per source
-      // machine turns the merge into one synchronized sweep.
-      std::vector<std::size_t> cursor(machines, 0);
-      Acc merged{};
-      Acc local_partial{};  // fused mode: reusable master gather scratch
-      std::size_t rank = 0;
-      for (const VertexId l : sh.masters()) {
-        const VertexId u = sh.global_id(l);
-        std::uint32_t own_contribs = 0;
-        std::size_t own_bytes = 0;
-        Acc* own = nullptr;
-        if (fused) {
-          local_partial.clear();
-          gather_local(sh, repl, sc, di, l, u, local_partial, own_contribs,
-                       own_bytes);
-          sc.contributions += own_contribs;
-          own = &local_partial;
-        } else {
-          own_bytes = sc.own_bytes[rank];
-          own_contribs = sc.own_contribs[rank];
-          own = &sc.own_partial[rank];
-          ++rank;
+      // ---- Phase A: shard-local gather + partial-sum buffer build. ----
+      // Mirrors always gather here (their partials must cross the
+      // barrier). Masters gather here only in two-phase mode, into
+      // per-vertex accumulators held until phase B — materializing every
+      // accumulator is exactly what two-phase semantics (and its memory
+      // appetite) mean. In fused mode masters gather lazily in phase B
+      // with reusable scratch instead: the fused contract (apply writes
+      // nothing gathers read) makes interleaved same-shard applies safe,
+      // and it keeps the per-vertex allocation profile identical to the
+      // flat engine's.
+      WallTimer phase_timer;
+      pool_->parallel_for(0, machines, [&](std::size_t mi, std::size_t) {
+        const Shard& sh = topo.shard(mi);
+        std::vector<VD>& repl = replica_[mi];
+        ShardScratch& sc = scratch[mi];
+        sc.loads.resize(machines);
+        if (!fused) {
+          sc.own_partial.resize(sh.num_masters());
+          sc.own_bytes.assign(sh.num_masters(), 0);
+          sc.own_contribs.assign(sh.num_masters(), 0);
         }
 
-        // Merge the contributing machines' partials ascending by id —
-        // only machines owning edges of u (for this direction) can have
-        // contributed, so walk that bitmask instead of all machines.
-        merged.clear();
-        std::size_t total_bytes = 0;
-        std::size_t contribs = 0;
-        bool first = true;
-        std::uint64_t rest = contributor_mask(u);
-        while (rest != 0) {
-          const auto s =
-              static_cast<std::size_t>(__builtin_ctzll(rest));
-          rest &= rest - 1;
-          if (s == di) {
-            if (own_bytes > 0) {
-              total_bytes += own_bytes;
-              contribs += own_contribs;
+        // Reused across mirror vertices: its partial is appended straight
+        // onto the outbox, so it keeps its capacity.
+        Acc mirror_acc{};
+        std::size_t rank = 0;
+        const auto n_local = static_cast<VertexId>(sh.num_local());
+        for (VertexId l = 0; l < n_local; ++l) {
+          const bool owned = sh.owns(l);
+          if (owned && fused) continue;  // gathered in phase B
+          Acc* acc;
+          if (owned) {
+            acc = &sc.own_partial[rank];
+          } else {
+            mirror_acc.clear();
+            acc = &mirror_acc;
+          }
+          const VertexId u = sh.global_id(l);
+          std::uint32_t contribs = 0;
+          std::size_t bytes = 0;
+          gather_local(sh, repl, sc, mi, l, u, *acc, contribs, bytes);
+          sc.contributions += contribs;
+          if (owned) {
+            sc.own_bytes[rank] = static_cast<std::uint32_t>(bytes);
+            sc.own_contribs[rank] = contribs;
+            ++rank;
+          } else if (bytes > 0) {
+            // Mirror with contributions: ship the partial to the master.
+            partial_grid.outbox(mi, part_.master(u))
+                .append(u, static_cast<std::uint32_t>(bytes), contribs,
+                        [&](auto& elems) { Run::append(mirror_acc, elems); });
+          }
+        }
+      });
+      stats.exchange.gather_build_s = phase_timer.seconds();
+
+      // Measured partial-sum traffic: the size of the buffers just built.
+      for (std::size_t s = 0; s < machines; ++s) {
+        for (std::size_t d = 0; d < machines; ++d) {
+          if (s == d) continue;
+          const std::size_t wire = partial_grid.outbox(s, d).wire_bytes();
+          if (wire > 0) charge_transfer(loads, s, d, wire);
+        }
+      }
+      stats.net_bytes += partial_grid.wire_bytes();
+      stats.messages += partial_grid.message_count();
+
+      // ---- Phase B: masters merge partials (ascending machine order),
+      // apply, and build the vertex-data sync buffers. ----
+      phase_timer.restart();
+      pool_->parallel_for(0, machines, [&](std::size_t di, std::size_t) {
+        const Shard& sh = topo.shard(di);
+        std::vector<VD>& repl = replica_[di];
+        ShardScratch& sc = scratch[di];
+
+        // The sync fan-out is known from the topology — reserve the
+        // outboxes so pushes never reallocate mid-phase.
+        for (std::size_t r = 0; r < machines; ++r) {
+          if (r != di && sh.sync_fanout()[r] > 0) {
+            sync_grid.outbox(di, r).reserve(sh.sync_fanout()[r],
+                                            sh.sync_fanout()[r]);
+          }
+        }
+
+        // Every inbox is ordered by ascending global vertex id (shards
+        // walk local vertices in ascending global order), so a cursor per
+        // source machine turns the merge into one synchronized sweep.
+        std::vector<std::size_t> cursor(machines, 0);
+        Acc merged{};
+        Acc local_partial{};  // fused mode: reusable master gather scratch
+        std::size_t rank = 0;
+        for (const VertexId l : sh.masters()) {
+          const VertexId u = sh.global_id(l);
+          std::uint32_t own_contribs = 0;
+          std::size_t own_bytes = 0;
+          Acc* own = nullptr;
+          if (fused) {
+            local_partial.clear();
+            gather_local(sh, repl, sc, di, l, u, local_partial,
+                         own_contribs, own_bytes);
+            sc.contributions += own_contribs;
+            own = &local_partial;
+          } else {
+            own_bytes = sc.own_bytes[rank];
+            own_contribs = sc.own_contribs[rank];
+            own = &sc.own_partial[rank];
+            ++rank;
+          }
+
+          // Merge the contributing machines' partials ascending by id —
+          // only machines owning edges of u (for this direction) can have
+          // contributed, so walk that bitmask instead of all machines. The
+          // first partial becomes `merged` (a received run is folded into
+          // its reused memory), later ones go through the program's merge
+          // straight from their runs.
+          merged.clear();
+          std::size_t total_bytes = 0;
+          std::size_t contribs = 0;
+          bool first = true;
+          std::uint64_t rest = contributor_mask(u);
+          while (rest != 0) {
+            const auto s = static_cast<std::size_t>(__builtin_ctzll(rest));
+            rest &= rest - 1;
+            if (s == di) {
+              if (own_bytes > 0) {
+                total_bytes += own_bytes;
+                contribs += own_contribs;
+                if (first) {
+                  std::swap(merged, *own);
+                  first = false;
+                } else {
+                  merge(merged, Run::view(*own));
+                }
+              }
+              continue;
+            }
+            auto& box = partial_grid.inbox(di, s);
+            if (cursor[s] < box.size() && box[cursor[s]].vertex == u) {
+              const auto msg = box[cursor[s]++];
+              total_bytes += msg.payload_bytes;
+              contribs += msg.contributions;
               if (first) {
-                std::swap(merged, *own);
+                Run::adopt(merged, msg.payload);
                 first = false;
               } else {
-                merge(merged, std::move(*own));
+                merge(merged, msg.payload);
               }
             }
-            continue;
           }
-          auto& box = partial_grid.inbox(di, s);
-          if (cursor[s] < box.size() && box[cursor[s]].vertex == u) {
-            auto& msg = box[cursor[s]++];
-            total_bytes += msg.payload_bytes;
-            contribs += msg.contributions;
-            if (first) {
-              merged = std::move(msg.payload);
-              first = false;
-            } else {
-              merge(merged, std::move(msg.payload));
-            }
+          finish_master(di, repl, sc, l, u, merged, total_bytes, contribs);
+        }
+      });
+      stats.exchange.merge_apply_s = phase_timer.seconds();
+
+      for (std::size_t s = 0; s < machines; ++s) {
+        for (std::size_t d = 0; d < machines; ++d) {
+          if (s == d) continue;
+          const std::size_t wire = sync_grid.outbox(s, d).wire_bytes();
+          if (wire > 0) charge_transfer(loads, s, d, wire);
+        }
+      }
+      stats.net_bytes += sync_grid.wire_bytes();
+      stats.messages += sync_grid.message_count();
+
+      // ---- Phase C: mirrors drain the sync buffers into their
+      // replicas. ----
+      phase_timer.restart();
+      pool_->parallel_for(0, machines, [&](std::size_t ri, std::size_t) {
+        const Shard& sh = topo.shard(ri);
+        std::vector<VD>& repl = replica_[ri];
+        const auto& ids = sh.vertices();
+        for (std::size_t s = 0; s < machines; ++s) {
+          if (s == ri) continue;
+          // Messages arrive ascending by vertex id, so resume each lookup
+          // where the previous one ended instead of bisecting from
+          // scratch.
+          const auto& box = sync_grid.inbox(ri, s);
+          auto hint = ids.begin();
+          for (std::size_t i = 0; i < box.size(); ++i) {
+            const auto msg = box[i];
+            hint = std::lower_bound(hint, ids.end(), msg.vertex);
+            SNAPLE_DCHECK(hint != ids.end() && *hint == msg.vertex);
+            repl[static_cast<std::size_t>(hint - ids.begin())] =
+                *msg.payload.front();
           }
         }
-        finish_master(di, repl, sc, l, u, merged, total_bytes, contribs);
-      }
-    });
-    const double merge_apply_s = phase_timer.seconds();
+      });
+      stats.exchange.sync_drain_s = phase_timer.seconds();
 
-    for (std::size_t s = 0; s < machines; ++s) {
-      for (std::size_t d = 0; d < machines; ++d) {
-        if (s == d) continue;
-        const std::size_t wire = sync_grid.outbox(s, d).wire_bytes();
-        if (wire > 0) charge_transfer(loads, s, d, wire);
+      for (std::size_t m = 0; m < machines; ++m) {
+        stats.gather_calls += scratch[m].gather_calls;
+        stats.contributions += scratch[m].contributions;
+        acc_bytes[m] = scratch[m].acc_bytes;
+        for (std::size_t o = 0; o < machines; ++o) {
+          loads[o].work_units += scratch[m].loads[o].work_units;
+          loads[o].bytes_in += scratch[m].loads[o].bytes_in;
+          loads[o].bytes_out += scratch[m].loads[o].bytes_out;
+        }
+      }
+
+      // Replicated-VD memory, measured without an extra pass: masters were
+      // sized at apply time, and every mirror's post-step datum is exactly
+      // the sync payload it just received — whose modeled size is already
+      // recorded in the buffers.
+      for (std::size_t r = 0; r < machines; ++r) {
+        vd_bytes[r] = scratch[r].vd_bytes;
+        for (std::size_t s = 0; s < machines; ++s) {
+          if (s == r) continue;
+          const auto& box = sync_grid.inbox(r, s);
+          vd_bytes[r] += box.wire_bytes() - box.size() * kMessageHeaderBytes;
+        }
       }
     }
-    stats.net_bytes += sync_grid.wire_bytes();
-    stats.messages += sync_grid.message_count();
-
-    // ---- Phase C: mirrors drain the sync buffers into their replicas. ----
-    phase_timer.restart();
-    pool_->parallel_for(0, machines, [&](std::size_t ri, std::size_t) {
-      const Shard& sh = topo.shard(ri);
-      std::vector<VD>& repl = replica_[ri];
-      const auto& ids = sh.vertices();
-      for (std::size_t s = 0; s < machines; ++s) {
-        if (s == ri) continue;
-        // Messages arrive ascending by vertex id, so resume each lookup
-        // where the previous one ended instead of bisecting from scratch.
-        auto hint = ids.begin();
-        for (auto& msg : sync_grid.inbox(ri, s)) {
-          hint = std::lower_bound(hint, ids.end(), msg.vertex);
-          SNAPLE_DCHECK(hint != ids.end() && *hint == msg.vertex);
-          repl[static_cast<std::size_t>(hint - ids.begin())] =
-              *msg.payload;
-        }
-      }
-    });
-    const double sync_drain_s = phase_timer.seconds();
     const double wall = timer.seconds();
 
     host_fresh_ = false;  // masters changed; data() re-collects on demand
 
     stats.wall_s = wall;
-    stats.exchange.gather_build_s = gather_build_s;
-    stats.exchange.merge_apply_s = merge_apply_s;
-    stats.exchange.sync_drain_s = sync_drain_s;
-    std::vector<std::size_t> acc_bytes(machines, 0);
-    for (std::size_t m = 0; m < machines; ++m) {
-      stats.gather_calls += scratch[m].gather_calls;
-      stats.contributions += scratch[m].contributions;
-      acc_bytes[m] = scratch[m].acc_bytes;
-      for (std::size_t o = 0; o < machines; ++o) {
-        loads[o].work_units += scratch[m].loads[o].work_units;
-        loads[o].bytes_in += scratch[m].loads[o].bytes_in;
-        loads[o].bytes_out += scratch[m].loads[o].bytes_out;
-      }
-    }
-
-    // Replicated-VD memory, measured without an extra pass: masters were
-    // sized at apply time, and every mirror's post-step datum is exactly
-    // the sync payload it just received — whose modeled size is already
-    // recorded in the buffers.
-    std::vector<std::size_t> vd_bytes(machines, 0);
-    for (std::size_t r = 0; r < machines; ++r) {
-      vd_bytes[r] = scratch[r].vd_bytes;
-      for (std::size_t s = 0; s < machines; ++s) {
-        if (s == r) continue;
-        const auto& box = sync_grid.inbox(r, s);
-        vd_bytes[r] += box.wire_bytes() - box.size() * kMessageHeaderBytes;
-      }
-    }
-
     const std::size_t active = std::min(machines, pool_->slot_count());
     finalize_stats(stats, opt, loads, acc_bytes, vd_bytes,
                    wall * static_cast<double>(active));

@@ -132,8 +132,8 @@ class Shard {
   friend class ShardTopology;
 
   /// Post-pass: packs the flat local CSR into delta-compressed form and
-  /// releases the flat arrays. Runs inside the per-machine build task
-  /// (after the in-CSR scatter, which still reads the flat out slice).
+  /// releases the flat arrays. Runs in the per-machine build pass (after
+  /// the in-CSR scatter, which still reads the flat out slice).
   void compress_local();
 
   /// Decodes one compressed local row into per-thread scratch (one
@@ -161,18 +161,21 @@ class ShardTopology {
  public:
   /// Splits `g` into one shard per machine of `p`. Edge e lands on shard
   /// p.edge_machine(e); vertex u is replicated on every machine in
-  /// p.replicas(u). Runs one build task per machine on `pool` (default
-  /// pool when null). With `compress_slices` each machine packs its
-  /// local CSR into delta-compressed form as a build post-pass, cutting
-  /// the topology's resident footprint; row decode is bit-identical, so
-  /// every engine result is unchanged.
+  /// p.replicas(u). One read of the graph serves every machine: passes
+  /// over vertex blocks on `pool` (default pool when null) count, then
+  /// scatter, each block's vertices, masters and out-edges into all
+  /// shards at once, and a last pass per machine builds the in-CSR.
+  /// Extra memory is O(V + total replicas). With `compress_slices` each
+  /// machine packs its local CSR into delta-compressed form as a build
+  /// post-pass, cutting the topology's resident footprint; row decode is
+  /// bit-identical, so every engine result is unchanged.
   [[nodiscard]] static ShardTopology build(const CsrGraph& g,
                                            const Partitioning& p,
                                            ThreadPool* pool = nullptr,
                                            bool compress_slices = false);
 
   /// As above from a compressed graph (rows decode per-thread during the
-  /// build scan). Slices default to compressed here: a caller that chose
+  /// edge scatter). Slices default to compressed here: a caller that chose
   /// the compressed representation is economizing memory, and inflating
   /// it at the shard layer would undo exactly that.
   [[nodiscard]] static ShardTopology build(const CompressedCsrGraph& g,

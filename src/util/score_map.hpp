@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.hpp"
@@ -33,7 +34,7 @@ class ScoreMap {
   /// Default construction allocates nothing — the table appears on the
   /// first accumulate(). The GAS engine default-constructs one map per
   /// deferred master vertex each superstep; lazy allocation keeps the
-  /// empty ones (and the moved-from message payloads) free.
+  /// empty ones free.
   explicit ScoreMap(std::size_t expected = 0) {
     if (expected > 0) rehash_for(expected);
   }
@@ -92,9 +93,9 @@ class ScoreMap {
   }
 
   /// Returns the entry for `key`, or nullptr if absent. On a sealed map
-  /// (export_compact()) lookups fall back to a linear scan — sealed
-  /// partials are meant for iteration, but a stray find() must stay
-  /// correct rather than probe a table that does not exist.
+  /// (adopt_sealed()) lookups fall back to a linear scan — sealed maps
+  /// are meant for iteration, but a stray find() must stay correct rather
+  /// than probe a table that does not exist.
   [[nodiscard]] const Slot* find(Key key) const noexcept {
     if (slots_.empty()) return nullptr;
     if (mask_ == 0) {  // sealed/dense: no probing structure (real tables
@@ -116,9 +117,22 @@ class ScoreMap {
   /// Visits every occupied slot (unspecified order).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& s : slots_) {
+    for_each_slot(slots_, fn);
+  }
+
+  /// Visits the occupied entries of a slot run, skipping empty slots: a
+  /// sealed run (export_sealed()) or a live table's slots().
+  template <typename Fn>
+  static void for_each_slot(std::span<const Slot> run, Fn&& fn) {
+    for (const auto& s : run) {
       if (s.key != kEmpty) fn(s.key, s.score, s.count);
     }
+  }
+
+  /// The slot array in slot order, empty slots included — the order
+  /// for_each() visits.
+  [[nodiscard]] std::span<const Slot> slots() const noexcept {
+    return slots_;
   }
 
   /// Approximate heap footprint, used by the GAS memory accounting.
@@ -126,31 +140,36 @@ class ScoreMap {
     return slots_.size() * sizeof(Slot);
   }
 
-  /// Extracts the contents into a *sealed* map, leaving *this empty but
-  /// with its table memory (capacity) intact. The sharded GAS engine
-  /// exports mirror partials with this: a moved-from scratch would regrow
-  /// through the whole rehash chain on the next vertex, and a plain copy
-  /// followed by clear() would sweep the (possibly hub-sized) table
-  /// twice — this does read-out and reset in the same single sweep.
-  ///
-  /// A sealed map stores its entries densely (slots_.size() == size(),
-  /// no empty slots, mask_ == 0): for_each() and clear() work normally —
-  /// all a serialized partial needs — while find() on it is invalid
-  /// (DCHECKed) and the first accumulate() transparently rebuilds a real
-  /// probing table from the dense entries via the normal growth rehash.
-  [[nodiscard]] ScoreMap export_compact() {
-    ScoreMap out;
-    if (size_ == 0) return out;
-    out.slots_.reserve(size_);
+  /// Appends the entries to `out` as a *sealed run* (the occupied slots in
+  /// slot order, no holes) and leaves *this empty with its table memory
+  /// intact. The sharded GAS engine ships mirror partials this way,
+  /// straight into an outbox's element array: read-out and reset happen in
+  /// the same single sweep, and the scratch map never regrows through the
+  /// rehash chain on the next vertex.
+  void export_sealed(std::vector<Slot>& out) {
+    if (size_ == 0) return;
+    const std::size_t exported = size_;
     for (auto& s : slots_) {
       if (s.key == kEmpty) continue;
-      out.slots_.push_back(s);
+      out.push_back(s);
       s.key = kEmpty;
     }
-    out.size_ = size_;
     size_ = 0;
-    shrink_if_oversized(out.size_);  // same hub hygiene as clear()
-    return out;
+    shrink_if_oversized(exported);  // same hub hygiene as clear()
+  }
+
+  /// Replaces the contents with a sealed run, reusing this map's memory.
+  /// A sealed map stores its entries densely (slots_.size() == size(),
+  /// no empty slots, mask_ == 0): for_each() and clear() work normally,
+  /// find() falls back to a scan, and the first accumulate() rebuilds a
+  /// real probing table from the dense entries via the normal growth
+  /// rehash — so a sealed map folds exactly like the map it came from
+  /// after export_sealed().
+  void adopt_sealed(std::span<const Slot> run) {
+    slots_.assign(run.begin(), run.end());
+    size_ = run.size();
+    mask_ = 0;
+    shift_ = 64;
   }
 
  private:

@@ -2,7 +2,7 @@
 // (Algorithm 1 line 2, Algorithm 2 lines 11 and 20).
 //
 // Keeps the k largest items by score in a binary min-heap of size k, so
-// selecting the top k of n items costs O(n log k) and O(k) memory.
+// selecting the top k of n items costs O(n log k) and O(min(k, n)) memory.
 // Ties are broken by item (smaller item wins) to keep results fully
 // deterministic across runs and thread counts.
 #pragma once
@@ -31,7 +31,7 @@ class TopK {
     }
   };
 
-  explicit TopK(std::size_t k) : k_(k) { heap_.reserve(k); }
+  explicit TopK(std::size_t k) : k_(k) {}
 
   [[nodiscard]] std::size_t capacity() const noexcept { return k_; }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
@@ -44,6 +44,10 @@ class TopK {
     if (k_ == 0) return;
     Entry e{item, score};
     if (heap_.size() < k_) {
+      // The first offer reserves k slots, or kEagerReserve when k is
+      // larger (kUnlimited means "all"): an empty selector allocates
+      // nothing, and a huge k grows with the items actually offered.
+      if (heap_.empty()) heap_.reserve(std::min(k_, kEagerReserve));
       heap_.push_back(e);
       std::push_heap(heap_.begin(), heap_.end(), MinFirst{});
       return;
@@ -80,6 +84,8 @@ class TopK {
   struct MinFirst {
     bool operator()(const Entry& a, const Entry& b) const { return b < a; }
   };
+
+  static constexpr std::size_t kEagerReserve = 1024;
 
   std::size_t k_;
   std::vector<Entry> heap_;

@@ -80,6 +80,33 @@ TEST(QueryEquivalence, BitIdenticalToBatchAcrossSeedsModesAndK) {
   }
 }
 
+TEST(QueryEquivalence, UnlimitedKBatchEqualsQueryForEveryVertex) {
+  // k = kUnlimited ranks every candidate. The batch step 3 must not try
+  // to reserve kUnlimited slots, and its full ranking must equal the
+  // query path's, flat and sharded.
+  const CsrGraph g = gen::make_dataset("gowalla", 0.02, 19);
+  for (const auto exec :
+       {gas::ExecutionMode::kFlat, gas::ExecutionMode::kSharded}) {
+    const std::size_t machines =
+        exec == gas::ExecutionMode::kSharded ? 4 : 1;
+    SnapleConfig cfg;
+    cfg.k = kUnlimited;
+    cfg.k_local = 10;
+    cfg.seed = 19;
+    BatchAndModel both;
+    ASSERT_NO_THROW(both = batch_and_model(g, cfg, machines, exec));
+    const QueryEngine server(both.model);
+    std::size_t ranked = 0;
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      ASSERT_EQ(server.topk(u, kUnlimited), both.batch.scored[u])
+          << "machines=" << machines << " u=" << u;
+      ranked += both.batch.scored[u].size();
+    }
+    // Far more than the default k = 5 per vertex came back.
+    EXPECT_GT(ranked, 5 * static_cast<std::size_t>(g.num_vertices()));
+  }
+}
+
 TEST(QueryEquivalence, MultiMachineFlatFoldReplayed) {
   // Flat multi-machine accounting groups step-3 folds by edge machine;
   // the model's per-edge tags must replay that grouping (float sums are

@@ -4,7 +4,9 @@
 // identical accounting in both execution modes, for any partitioning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "baseline/gas_baseline.hpp"
@@ -18,7 +20,10 @@
 #include "gas/programs/triangles.hpp"
 #include "gas/shard.hpp"
 #include "graph/builder.hpp"
+#include "graph/compressed_csr.hpp"
 #include "graph/gen/generators.hpp"
+#include "util/score_map.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snaple::gas {
 namespace {
@@ -159,22 +164,237 @@ TEST(ShardTopology, IsolatedVerticesLandOnTheirMasterShard) {
   }
 }
 
+// The reference build: the original per-machine scan, one full pass over
+// the graph per machine. The one-pass build must reproduce it field by
+// field.
+struct ReferenceShard {
+  std::vector<VertexId> vertices;
+  std::vector<std::uint8_t> is_master;
+  std::vector<VertexId> masters;
+  std::vector<EdgeIndex> sync_fanout;
+  std::vector<EdgeIndex> out_offsets;
+  std::vector<VertexId> out_targets;
+  std::vector<EdgeIndex> in_offsets;
+  std::vector<VertexId> in_sources;
+};
+
+ReferenceShard reference_shard(const CsrGraph& g, const Partitioning& p,
+                               MachineId m) {
+  ReferenceShard s;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (p.replicas(u).contains(m)) s.vertices.push_back(u);
+  }
+  const std::size_t n_local = s.vertices.size();
+  s.is_master.assign(n_local, 0);
+  s.sync_fanout.assign(p.num_machines(), 0);
+  for (VertexId l = 0; l < n_local; ++l) {
+    const VertexId u = s.vertices[l];
+    if (p.master(u) != m) continue;
+    s.is_master[l] = 1;
+    s.masters.push_back(l);
+    p.replicas(u).for_each([&](MachineId r) {
+      if (r != m) ++s.sync_fanout[r];
+    });
+  }
+  s.out_offsets.assign(n_local + 1, 0);
+  for (VertexId l = 0; l < n_local; ++l) {
+    const VertexId u = s.vertices[l];
+    const EdgeIndex base = g.out_offset(u);
+    const auto nbrs = g.out_neighbors(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (p.edge_machine(base + i) != m) continue;
+      const auto it =
+          std::lower_bound(s.vertices.begin(), s.vertices.end(), nbrs[i]);
+      s.out_targets.push_back(static_cast<VertexId>(it - s.vertices.begin()));
+    }
+    s.out_offsets[l + 1] = s.out_targets.size();
+  }
+  s.in_offsets.assign(n_local + 1, 0);
+  for (const VertexId t : s.out_targets) ++s.in_offsets[t + 1];
+  for (std::size_t l = 1; l <= n_local; ++l) {
+    s.in_offsets[l] += s.in_offsets[l - 1];
+  }
+  s.in_sources.resize(s.out_targets.size());
+  std::vector<EdgeIndex> cursor(s.in_offsets.begin(), s.in_offsets.end() - 1);
+  for (VertexId l = 0; l < n_local; ++l) {
+    for (EdgeIndex e = s.out_offsets[l]; e < s.out_offsets[l + 1]; ++e) {
+      s.in_sources[cursor[s.out_targets[e]]++] = l;
+    }
+  }
+  return s;
+}
+
+void expect_shard_equals_reference(const Shard& sh, const ReferenceShard& ref,
+                                   MachineId m, bool compressed) {
+  EXPECT_EQ(sh.machine(), m);
+  EXPECT_EQ(sh.compressed(), compressed);
+  ASSERT_EQ(sh.vertices(), ref.vertices);
+  EXPECT_EQ(sh.masters(), ref.masters);
+  EXPECT_EQ(sh.sync_fanout(), ref.sync_fanout);
+  EXPECT_EQ(sh.num_local_edges(), ref.out_targets.size());
+  for (VertexId l = 0; l < ref.vertices.size(); ++l) {
+    EXPECT_EQ(sh.owns(l), ref.is_master[l] != 0) << "local " << l;
+    const auto out = sh.out_neighbors(l);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                           ref.out_targets.begin() + ref.out_offsets[l],
+                           ref.out_targets.begin() + ref.out_offsets[l + 1]))
+        << "out row " << l;
+    const auto in = sh.in_neighbors(l);
+    EXPECT_TRUE(std::equal(in.begin(), in.end(),
+                           ref.in_sources.begin() + ref.in_offsets[l],
+                           ref.in_sources.begin() + ref.in_offsets[l + 1]))
+        << "in row " << l;
+  }
+  // The resident footprint pins the array sizes (offsets included).
+  const std::size_t adjacency =
+      compressed
+          ? CompressedAdjacency::encode_serial(ref.out_offsets,
+                                               ref.out_targets)
+                    .memory_bytes() +
+                CompressedAdjacency::encode_serial(ref.in_offsets,
+                                                   ref.in_sources)
+                    .memory_bytes()
+          : (ref.out_offsets.size() + ref.in_offsets.size()) *
+                    sizeof(EdgeIndex) +
+                (ref.out_targets.size() + ref.in_sources.size()) *
+                    sizeof(VertexId);
+  EXPECT_EQ(sh.memory_bytes(),
+            ref.vertices.size() * sizeof(VertexId) +
+                ref.is_master.size() * sizeof(std::uint8_t) +
+                ref.masters.size() * sizeof(VertexId) + adjacency);
+}
+
+// A graph spanning several build blocks, with vertices that have no
+// out-edges (every seventh vertex only receives edges) and a tail of
+// isolated vertices.
+CsrGraph graph_with_holes() {
+  const CsrGraph er = gen::erdos_renyi(4500, 30000, 21);
+  GraphBuilder b(5000);
+  for (VertexId u = 0; u < er.num_vertices(); ++u) {
+    if (u % 7 == 0) continue;
+    for (const VertexId v : er.out_neighbors(u)) b.add_edge(u, v);
+  }
+  return b.build();
+}
+
+TEST(ShardTopology, OnePassBuildMatchesPerMachineScanOracle) {
+  const CsrGraph g = graph_with_holes();
+  ASSERT_EQ(g.num_vertices(), 5000u);
+  const CompressedCsrGraph cg = CompressedCsrGraph::from_graph(g);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const std::size_t workers : {1ul, 2ul, 3ul, 8ul}) {
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  }
+  for (const auto strategy :
+       {PartitionStrategy::kHash, PartitionStrategy::kGreedy,
+        PartitionStrategy::kEdgeLocal}) {
+    for (const std::size_t machines : {1ul, 2ul, 3ul, 8ul}) {
+      const auto p = Partitioning::create(g, machines, strategy, 5);
+      std::vector<ReferenceShard> ref;
+      for (std::size_t m = 0; m < machines; ++m) {
+        ref.push_back(reference_shard(g, p, static_cast<MachineId>(m)));
+      }
+      for (const auto& pool : pools) {
+        SCOPED_TRACE("strategy " + std::to_string(static_cast<int>(strategy)) +
+                     " machines " + std::to_string(machines) + " workers " +
+                     std::to_string(pool->worker_count()));
+        const auto flat = ShardTopology::build(g, p, pool.get());
+        const auto packed =
+            ShardTopology::build(cg, p, pool.get(), /*compress_slices=*/true);
+        ASSERT_EQ(flat.num_machines(), machines);
+        ASSERT_EQ(packed.num_machines(), machines);
+        for (std::size_t m = 0; m < machines; ++m) {
+          const auto mid = static_cast<MachineId>(m);
+          expect_shard_equals_reference(flat.shard(m), ref[m], mid, false);
+          expect_shard_equals_reference(packed.shard(m), ref[m], mid, true);
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Message buffers
 // ---------------------------------------------------------------------
 
 TEST(Exchange, WireBytesAreHeaderPlusPayload) {
-  MessageBuffer<std::vector<VertexId>> buf;
+  MessageBuffer<VertexId> buf;
   EXPECT_EQ(buf.wire_bytes(), 0u);
-  buf.push(3, 12, 3, std::vector<VertexId>{1, 2, 3});
-  buf.push(9, 4, 1, std::vector<VertexId>{7});
+  buf.append(3, 12, 3, [](std::vector<VertexId>& elems) {
+    elems.insert(elems.end(), {1, 2, 3});
+  });
+  buf.push(9, 4, 1, 7);
   EXPECT_EQ(buf.size(), 2u);
   EXPECT_EQ(buf.wire_bytes(), 2 * kMessageHeaderBytes + 12 + 4);
   std::vector<VertexId> order;
-  for (const auto& m : buf) order.push_back(m.vertex);
+  for (std::size_t i = 0; i < buf.size(); ++i) order.push_back(buf[i].vertex);
   EXPECT_EQ(order, (std::vector<VertexId>{3, 9}));
   buf.clear();
   EXPECT_EQ(buf.wire_bytes(), 0u);
+}
+
+TEST(Exchange, RecordsAreRunsOfOneContiguousElementArray) {
+  MessageBuffer<VertexId> buf;
+  buf.append(3, 12, 3, [](std::vector<VertexId>& elems) {
+    elems.insert(elems.end(), {1, 2, 3});
+  });
+  buf.append(4, 0, 0, [](std::vector<VertexId>&) {});  // empty run
+  buf.push(9, 4, 1, 7);
+  ASSERT_EQ(buf.size(), 3u);
+  const auto a = buf[0];
+  const auto b = buf[1];
+  const auto c = buf[2];
+  EXPECT_EQ(a.contributions, 3u);
+  EXPECT_EQ(std::vector<VertexId>(a.payload.begin(), a.payload.end()),
+            (std::vector<VertexId>{1, 2, 3}));
+  EXPECT_TRUE(b.payload.empty());
+  ASSERT_EQ(c.payload.size(), 1u);
+  EXPECT_EQ(c.payload.front(), 7u);
+  // Runs are adjacent in one array, in record order.
+  EXPECT_EQ(a.payload.data() + 3, c.payload.data());
+}
+
+TEST(Exchange, PartialRunsRoundTripEveryAccumulatorShape) {
+  // A vector travels as its elements; the scratch keeps its capacity.
+  std::vector<std::pair<VertexId, float>> list{{4, 0.5f}, {2, 0.25f}};
+  const auto* storage = list.data();
+  std::vector<std::pair<VertexId, float>> elems;
+  PartialRun<decltype(list)>::append(list, elems);
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.data(), storage);
+  std::vector<std::pair<VertexId, float>> adopted;
+  PartialRun<decltype(list)>::adopt(adopted, elems);
+  EXPECT_EQ(adopted,
+            (std::vector<std::pair<VertexId, float>>{{4, 0.5f}, {2, 0.25f}}));
+
+  // A value accumulator travels as one element, itself.
+  struct Count {
+    int n = 0;
+    void clear() { n = 0; }
+    void merge(Count&& o) { n += o.n; }
+  };
+  Count c{5};
+  std::vector<Count> counts;
+  PartialRun<Count>::append(c, counts);
+  EXPECT_EQ(c.n, 0);
+  ASSERT_EQ(counts.size(), 1u);
+  Count into{};
+  PartialRun<Count>::adopt(into, counts);
+  EXPECT_EQ(into.n, 5);
+  detail::DefaultAccMerge{}(into, std::span<Count>(counts));
+  EXPECT_EQ(into.n, 10);
+
+  // A ScoreMap travels as its sealed slot run and is adopted sealed.
+  ScoreMap m;
+  auto plus = [](float x, float y) { return x + y; };
+  for (std::uint32_t k = 0; k < 30; ++k) m.accumulate(k, 1.0f, 1, plus);
+  std::vector<ScoreMap::Slot> slots;
+  PartialRun<ScoreMap>::append(m, slots);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(slots.size(), 30u);
+  ScoreMap sealed;
+  PartialRun<ScoreMap>::adopt(sealed, slots);
+  EXPECT_EQ(sealed.size(), 30u);
 }
 
 TEST(Exchange, GridMeasuresOnlyCrossMachineTraffic) {
@@ -185,7 +405,7 @@ TEST(Exchange, GridMeasuresOnlyCrossMachineTraffic) {
   EXPECT_EQ(grid.message_count(), 1u);
   // inbox(d, s) aliases outbox(s, d).
   EXPECT_EQ(grid.inbox(1, 0).size(), 1u);
-  EXPECT_EQ(grid.inbox(1, 0)[0].payload, 42);
+  EXPECT_EQ(grid.inbox(1, 0)[0].payload.front(), 42);
 }
 
 // ---------------------------------------------------------------------

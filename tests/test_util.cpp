@@ -287,16 +287,21 @@ TEST(ScoreMap, DefaultConstructionIsLazy) {
   EXPECT_FLOAT_EQ(m.find(3)->score, 1.0f);
 }
 
-TEST(ScoreMap, ExportCompactSealsEntriesAndResetsSource) {
+TEST(ScoreMap, ExportSealedAppendsEntriesAndResetsSource) {
   ScoreMap m;
   auto plus = [](float a, float b) { return a + b; };
   for (std::uint32_t k = 0; k < 50; ++k) m.accumulate(k, 1.0f, 1, plus);
   const auto bytes = m.memory_bytes();
-  ScoreMap sealed = m.export_compact();
+  std::vector<ScoreMap::Slot> run{ScoreMap::Slot{99, 1.0f, 1}};
+  m.export_sealed(run);
   // Source is empty but keeps its table for the next vertex.
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.memory_bytes(), bytes);
-  // The sealed map holds exactly the entries, densely.
+  // The run gained exactly the entries, densely, after what it held.
+  ASSERT_EQ(run.size(), 51u);
+  EXPECT_EQ(run.front().key, 99u);
+  ScoreMap sealed;
+  sealed.adopt_sealed(std::span(run).subspan(1));
   EXPECT_EQ(sealed.size(), 50u);
   EXPECT_EQ(sealed.memory_bytes(), 50 * sizeof(ScoreMap::Slot));
   std::size_t visited = 0;
@@ -312,11 +317,40 @@ TEST(ScoreMap, ExportCompactSealsEntriesAndResetsSource) {
   EXPECT_FLOAT_EQ(m.find(7)->score, 2.0f);
 }
 
+TEST(ScoreMap, SealedRunVisitsInTableSlotOrder) {
+  ScoreMap m;
+  auto plus = [](float a, float b) { return a + b; };
+  for (std::uint32_t k = 0; k < 40; ++k) m.accumulate(k * 7, 1.0f, k, plus);
+  std::vector<std::uint32_t> table_order;
+  m.for_each([&](std::uint32_t k, float, std::uint32_t) {
+    table_order.push_back(k);
+  });
+  // slots() with its holes skipped is the same walk as for_each().
+  std::vector<std::uint32_t> slot_order;
+  ScoreMap::for_each_slot(m.slots(), [&](std::uint32_t k, float,
+                                         std::uint32_t) {
+    slot_order.push_back(k);
+  });
+  EXPECT_EQ(slot_order, table_order);
+  std::vector<ScoreMap::Slot> run;
+  m.export_sealed(run);
+  ScoreMap sealed;
+  sealed.adopt_sealed(run);
+  std::vector<std::uint32_t> sealed_order;
+  sealed.for_each([&](std::uint32_t k, float, std::uint32_t) {
+    sealed_order.push_back(k);
+  });
+  EXPECT_EQ(sealed_order, table_order);
+}
+
 TEST(ScoreMap, AccumulateIntoSealedMapSelfHeals) {
   ScoreMap m;
   auto plus = [](float a, float b) { return a + b; };
   for (std::uint32_t k = 0; k < 20; ++k) m.accumulate(k, 1.0f, 1, plus);
-  ScoreMap sealed = m.export_compact();
+  std::vector<ScoreMap::Slot> run;
+  m.export_sealed(run);
+  ScoreMap sealed;
+  sealed.adopt_sealed(run);
   // Folding into a sealed map rebuilds a real probing table first.
   sealed.accumulate(5, 2.0f, 1, plus);
   sealed.accumulate(100, 1.0f, 1, plus);
@@ -329,7 +363,10 @@ TEST(ScoreMap, ClearOnSealedMapRestoresLazyEmpty) {
   ScoreMap m;
   auto plus = [](float a, float b) { return a + b; };
   for (std::uint32_t k = 0; k < 30; ++k) m.accumulate(k, 1.0f, 1, plus);
-  ScoreMap sealed = m.export_compact();
+  std::vector<ScoreMap::Slot> run;
+  m.export_sealed(run);
+  ScoreMap sealed;
+  sealed.adopt_sealed(run);
   sealed.clear();
   EXPECT_TRUE(sealed.empty());
   EXPECT_EQ(sealed.find(3), nullptr);
